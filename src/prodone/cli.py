@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 from .errors import BudgetExceededError, CatalogError, GroupTableError, ParseError
 from .factorization import (AtomCatalog, enumerate_atoms, factorizations,
-                            length_system, set_of_lengths)
+                            large_davenport, length_system, set_of_lengths)
 from .groups import (GroupTable, abelian_structure_label, from_table,
                      parse_group_spec)
 from .isolab import compare_invariants, verify_theorem
@@ -256,9 +256,7 @@ def _cmd_compare(args) -> CommandResult:
     if args.bound is not None:
         bound = args.bound
     else:
-        cache = _cache_dir(args)
-        bound = max(_catalog_for(g1, g1.order, cache, args.budget).max_atom_length(),
-                    _catalog_for(g2, g2.order, cache, args.budget).max_atom_length())
+        bound = max(large_davenport(g1, args.budget), large_davenport(g2, args.budget))
     report = compare_invariants(g1, g2, bound, args.budget)
     payload = {
         "command": "compare",

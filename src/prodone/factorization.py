@@ -18,6 +18,7 @@ import os
 import tempfile
 import threading
 from dataclasses import dataclass
+from math import comb
 
 from .errors import BudgetExceededError, CatalogError, ParseError
 from .groups import GroupTable
@@ -38,7 +39,7 @@ __all__ = [
     "DEFAULT_SEARCH_BUDGET",
 ]
 
-DEFAULT_SEARCH_BUDGET = 200_000_000
+DEFAULT_SEARCH_BUDGET = 25_000_000
 
 _SHIFT = 5          # bits per exponent slot in packed vectors
 _SLOT = (1 << _SHIFT) - 1
@@ -48,159 +49,112 @@ _BALL_CACHE: dict = {}
 _DAVENPORT_CACHE: dict = {}
 
 
-def _pack(exponents) -> int:
-    key = 0
-    for e, v in enumerate(exponents):
-        key |= v << (_SHIFT * e)
-    return key
-
-
 def _unpack(key: int, order: int) -> tuple:
     return tuple((key >> (_SHIFT * e)) & _SLOT for e in range(order))
+
+
+def _items(key: int) -> tuple:
+    """(element, multiplicity) pairs of a packed vector, by increasing element."""
+    items = []
+    e = 0
+    while key:
+        v = key & _SLOT
+        if v:
+            items.append((e, v))
+        key >>= _SHIFT
+        e += 1
+    return tuple(items)
 
 
 # -- exhaustive product-one enumeration -------------------------------------------
 
 
-def _completion_reach(group: GroupTable, quotient: GroupTable, proj, max_len: int):
-    """Cumulative reachability masks over the abelian quotient.
+def _abelian_ball(group: GroupTable, cap: int) -> dict:
+    """Closing-term DFS over non-decreasing identity-free multisets.
 
-    ``rcum[g][r]`` has bit t set iff some multiset of at most r elements, all
-    with id >= g, has image-sum t in the quotient. Used to prune branches of
-    the canonical enumeration that cannot reach image-sum zero anymore.
+    S'·c is product-one exactly when c is the inverse of the sum of S'; the
+    multiset is reached once, from S' = itself minus one copy of its largest
+    term, when c >= max(S').
     """
     n = group.order
-    qmasks = quotient._mul_mask_tables()
-    qtab = quotient.table
+    tab = group.table
+    inv = tuple(group.inv(x) for x in range(n))
+    bits = tuple(1 << (_SHIFT * e) for e in range(n))
+    out: dict[int, int] = {}
 
-    def qmul(mask, h):
-        return qmasks[h][mask] if qmasks else _mask_mul_slow(mask, h, qtab)
+    def walk(top, key, ln, acc):
+        c = inv[acc]
+        if c >= top:
+            out[key + bits[c]] = ln + 1
+        if ln + 1 < cap:
+            row = tab[acc]
+            for g in range(top, n):
+                walk(g, key + bits[g], ln + 1, row[g])
 
-    exact = [[1] + [0] * max_len]  # elements >= n: only the empty multiset
-    for g in range(n - 1, 0, -1):
-        prev = exact[-1]
-        qg = proj[g]
-        row = [1] + [0] * max_len
-        for k in range(1, max_len + 1):
-            row[k] = prev[k] | qmul(row[k - 1], qg)
-        exact.append(row)
-    exact.reverse()  # exact[g - 1] is the row for "elements >= g"
-    rcum = []
-    for row in exact:
-        acc = 0
-        crow = []
-        for k in range(max_len + 1):
-            acc |= row[k]
-            crow.append(acc)
-        rcum.append(crow)
-    return rcum  # rcum[g - 1][r] for g in 1..n
+    walk(1, 0, 0, 0)  # top 1 keeps the identity out of the empty multiset's closure
+    return out
+
+
+def _level_ball(group: GroupTable, cap: int) -> dict:
+    """Level-wise product-set DP over all identity-free multisets.
+
+    Level l maps each multiset T of length l to its product mask
+    pi(T) = U_{h in supp T} pi(T - h)·h, built from level l-1 by appending an
+    element >= the largest one of the key. Only two levels are alive at once.
+    """
+    n = group.order
+    masks = group._mul_mask_tables()
+    tab = group.table
+    bits = tuple(1 << (_SHIFT * e) for e in range(n))
+    out: dict[int, int] = {}
+    level = {0: 1}  # the empty multiset achieves exactly the identity
+    for ln in range(1, cap + 1):
+        nxt = {}
+        for key, mask in level.items():
+            top = max((key.bit_length() - 1) // _SHIFT, 1)
+            supp = [e for e, _ in _items(key)]
+            for g in range(top, n):
+                nk = key + bits[g]
+                acc = masks[g][mask] if masks else _mask_mul_slow(mask, g, tab)
+                for h in supp:
+                    if h != g:
+                        prev = level[nk - bits[h]]
+                        acc |= masks[h][prev] if masks else _mask_mul_slow(prev, h, tab)
+                nxt[nk] = acc
+                if acc & 1:
+                    out[nk] = ln
+        level = nxt
+    return out
 
 
 def _enumerate_po(group: GroupTable, max_len: int, budget: int) -> dict:
-    """All identity-free product-one packed vectors of length <= max_len."""
+    """All identity-free product-one packed vectors of length <= max_len.
+
+    The budget caps the identity-free multisets of length <= max_len, of which
+    there are C(n + l - 2, l) at each length l. It is checked level by level
+    before any enumeration, so a trip at length l allocates nothing for that
+    level and carries the exact ball up to length l - 1.
+    """
     n = group.order
     if max_len == 0 or n == 1:
         return {}
     if max_len > _SLOT:
+        raise ValueError(
+            f"length cap {max_len} exceeds the packed-multiplicity limit {_SLOT}")
+    total = cap = 0
+    while cap < max_len:
+        size = comb(n + cap - 1, cap + 1)
+        if total + size > budget:
+            break
+        total += size
+        cap += 1
+    ball = (_abelian_ball if group.is_abelian else _level_ball)(group, cap)
+    if cap < max_len:
         raise BudgetExceededError(
-            f"length cap {max_len} exceeds the packed-multiplicity limit {_SLOT}",
-            attempted=max_len, budget=_SLOT)
-    if group.is_abelian:
-        quotient, proj = group, tuple(range(n))
-    else:
-        quotient, proj = group.abelianization_map()
-    rcum = _completion_reach(group, quotient, proj, max_len)
-    qtab = quotient.table
-    qinv = tuple(quotient.inv(t) for t in range(quotient.order))
-    bits = tuple(1 << (_SHIFT * e) for e in range(n))
-    shifts = tuple(_SHIFT * e for e in range(n))
-    out: dict[int, int] = {}
-    counter = [0]
-
-    if group.is_abelian:
-        tab = group.table
-
-        def rec_ab(last, rem, key, ln, acc):
-            for g in range(last, n):
-                t = tab[acc][g]
-                r = rem - 1
-                if not (rcum[g - 1][r] >> qinv[t]) & 1:
-                    continue
-                counter[0] += 1
-                if counter[0] > budget:
-                    raise BudgetExceededError(
-                        f"product-one enumeration exceeded budget of {budget} states",
-                        attempted=counter[0], budget=budget, partial=dict(out))
-                key_g = key + bits[g]
-                if t == 0:
-                    out[key_g] = ln + 1
-                if r:
-                    rec_ab(g, r, key_g, ln + 1, t)
-
-        rec_ab(1, max_len, 0, 0, 0)
-        return out
-
-    masks = group._mul_mask_tables()
-    tab = group.table
-    levels = [dict() for _ in range(max_len + 1)]
-    levels[0][0] = 1  # empty sub-multiset achieves exactly the identity
-    exps = [0] * n
-    supp: list[int] = []
-
-    def push(g, cur_len):
-        sg = shifts[g]
-        gbit = bits[g]
-        vg = exps[g]
-        new_supp = supp[-1] != g if supp else True
-        if new_supp:
-            supp.append(g)
-        added = []
-        for lvl in range(cur_len + 1):
-            level = levels[lvl]
-            nxt = levels[lvl + 1]
-            for key in level:
-                if (key >> sg) & _SLOT != vg:
-                    continue
-                nk = key + gbit
-                acc = 0
-                for h in supp:
-                    if (nk >> shifts[h]) & _SLOT:
-                        prev = level[nk - bits[h]]
-                        acc |= masks[h][prev] if masks else _mask_mul_slow(prev, h, tab)
-                nxt[nk] = acc
-                added.append((lvl + 1, nk))
-        exps[g] = vg + 1
-        counter[0] += len(added)
-        if counter[0] > budget:
-            _pop(g, added, new_supp)
-            raise BudgetExceededError(
-                f"product-one enumeration exceeded budget of {budget} states",
-                attempted=counter[0], budget=budget, partial=dict(out))
-        return added, new_supp
-
-    def _pop(g, added, new_supp):
-        exps[g] -= 1
-        if new_supp:
-            supp.pop()
-        for lvl, key in added:
-            del levels[lvl][key]
-
-    def rec(last, rem, key, ln, ab):
-        for g in range(last, n):
-            t = qtab[ab][proj[g]]
-            r = rem - 1
-            if not (rcum[g - 1][r] >> qinv[t]) & 1:
-                continue
-            added, new_supp = push(g, ln)
-            key_g = key + bits[g]
-            if levels[ln + 1][key_g] & 1:
-                out[key_g] = ln + 1
-            if r:
-                rec(g, r, key_g, ln + 1, t)
-            _pop(g, added, new_supp)
-
-    rec(1, max_len, 0, 0, 0)
-    return out
+            f"product-one enumeration exceeded budget of {budget} states "
+            f"at length {cap + 1}",
+            attempted=total + size, budget=budget, partial=ball)
+    return ball
 
 
 def product_one_vectors(group: GroupTable, max_len: int, budget: int | None = None) -> dict:
@@ -256,10 +210,11 @@ def is_atom(seq: Sequence, max_states: int | None = None) -> bool:
 def _split_exists(key: int, ln: int, items, ball: dict) -> bool:
     """Whether the packed vector splits into two product-one parts.
 
-    ``items`` lists (bit, mult) per support element; ``ball`` must contain all
-    identity-free product-one vectors of length < ln.
+    ``items`` lists (element, mult) per support element; ``ball`` must contain
+    all identity-free product-one vectors of length < ln.
     """
     half = ln // 2
+    items = [(1 << (_SHIFT * e), v) for e, v in items]
     k = len(items)
 
     def rec(pos, sub, sublen):
@@ -278,22 +233,9 @@ def _split_exists(key: int, ln: int, items, ball: dict) -> bool:
     return rec(0, 0, 0)
 
 
-def _atom_keys(group: GroupTable, max_len: int, budget: int | None) -> dict:
-    ball = product_one_vectors(group, max_len, budget)
-    atoms = {}
-    for key, ln in ball.items():
-        items = []
-        rest = key
-        e = 0
-        while rest:
-            v = rest & _SLOT
-            if v:
-                items.append((1 << (_SHIFT * e), v))
-            rest >>= _SHIFT
-            e += 1
-        if not _split_exists(key, ln, items, ball):
-            atoms[key] = ln
-    return atoms
+def _atom_keys(ball: dict) -> dict:
+    return {key: ln for key, ln in ball.items()
+            if not _split_exists(key, ln, _items(key), ball)}
 
 
 @dataclass(frozen=True)
@@ -407,26 +349,31 @@ def _catalog_from_keys(group: GroupTable, keys: dict, max_length: int,
 def enumerate_atoms(group: GroupTable, max_length: int, budget: int | None = None) -> AtomCatalog:
     """Exhaustive atom catalog up to ``max_length``.
 
-    Enumerates canonical (non-decreasing) identity-free multisets with
-    reachability pruning, keeps the product-one ones, and discards any that
-    split. On budget exhaustion the raised error carries a partial,
-    non-exhaustive catalog of individually re-verified atoms.
+    Takes the product-one ball from ``product_one_vectors`` and discards every
+    vector that splits into two product-one parts. On budget exhaustion the
+    raised error carries a non-exhaustive catalog that holds every atom
+    shorter than the length where the budget tripped.
     """
     if max_length < 1:
         raise ValueError(f"max_length must be >= 1, got {max_length}")
     try:
-        keys = _atom_keys(group, max_length, budget)
+        ball = product_one_vectors(group, max_length, budget)
     except BudgetExceededError as err:
-        partial_keys = {}
-        for key, ln in (err.partial or {}).items():
-            try:
-                if is_atom(Sequence(group, _unpack(key, group.order))):
-                    partial_keys[key] = ln
-            except BudgetExceededError:
-                continue
-        err.partial = _catalog_from_keys(group, partial_keys, max_length, exhaustive=False)
+        err.partial = _catalog_from_keys(group, _atom_keys(err.partial), max_length,
+                                         exhaustive=False)
         raise
-    return _catalog_from_keys(group, keys, max_length, exhaustive=True)
+    return _catalog_from_keys(group, _atom_keys(ball), max_length, exhaustive=True)
+
+
+def _davenport_catalog(group: GroupTable, budget: int | None) -> AtomCatalog:
+    """The exhaustive atom catalog at the proven cap |G|, kept per group."""
+    with _CACHE_LOCK:
+        hit = _DAVENPORT_CACHE.get(group)
+    if hit is None:
+        hit = enumerate_atoms(group, group.order, budget)
+        with _CACHE_LOCK:
+            _DAVENPORT_CACHE[group] = hit
+    return hit
 
 
 def large_davenport(group: GroupTable, budget: int | None = None) -> int:
@@ -435,14 +382,7 @@ def large_davenport(group: GroupTable, budget: int | None = None) -> int:
     Exhaustive search up to the proven cap |G|; see the module docstring for
     the termination argument.
     """
-    with _CACHE_LOCK:
-        if group in _DAVENPORT_CACHE:
-            return _DAVENPORT_CACHE[group]
-    catalog = enumerate_atoms(group, group.order, budget)
-    value = catalog.max_atom_length()
-    with _CACHE_LOCK:
-        _DAVENPORT_CACHE[group] = value
-    return value
+    return _davenport_catalog(group, budget).max_atom_length()
 
 
 # -- factorizations and lengths ---------------------------------------------------
@@ -534,8 +474,8 @@ class Fingerprint:
 
 def fingerprint(group: GroupTable, budget: int | None = None) -> Fingerprint:
     """Atom counts per length, the Davenport constant, and the abelianization profile."""
-    d = large_davenport(group, budget)
-    catalog = enumerate_atoms(group, group.order, budget)
+    catalog = _davenport_catalog(group, budget)
+    d = catalog.max_atom_length()
     counts = tuple(len(catalog.atoms_by_length.get(ln, ())) for ln in range(1, d + 1))
     quotient = group.abelianization()
     profile = tuple(sorted(quotient.element_order(a) for a in quotient.elements()))

@@ -218,9 +218,6 @@ class GroupTable:
     def __eq__(self, other):
         return isinstance(other, GroupTable) and self.table == other.table
 
-    def __ne__(self, other):
-        return not self.__eq__(other)
-
     def __hash__(self):
         if self._hash is None:
             self._hash = hash(self.table)

@@ -15,7 +15,7 @@ from collections import Counter
 from dataclasses import dataclass
 
 from .errors import BudgetExceededError
-from .factorization import (_SHIFT, _SLOT, _unpack, fingerprint, large_davenport,
+from .factorization import (_SHIFT, _items, _unpack, fingerprint, large_davenport,
                             length_system, product_one_vectors)
 from .groups import (GroupMap, GroupTable, abelian_structure_label,
                      find_group_isomorphisms, parse_group_spec)
@@ -68,22 +68,6 @@ def _identity_counterexample(group: GroupTable) -> Sequence:
     return Sequence(group, exps)
 
 
-def _decode_keys(ball: dict):
-    decoded = []
-    for key in ball:
-        items = []
-        rest = key
-        e = 0
-        while rest:
-            v = rest & _SLOT
-            if v:
-                items.append((e, v))
-            rest >>= _SHIFT
-            e += 1
-        decoded.append((key, tuple(items)))
-    return decoded
-
-
 def _image_key(items, images) -> int:
     key = 0
     for e, v in items:
@@ -114,14 +98,14 @@ def _check_preserving_at(m: GroupMap, cap: int, budget):
         return True, None
     ball1 = product_one_vectors(m.source, cap, budget)
     ball2 = product_one_vectors(m.target, cap, budget)
-    bad = _forward_failure(_decode_keys(ball1), m.images, ball2)
+    bad = _forward_failure([(k, _items(k)) for k in ball1], m.images, ball2)
     if bad is not None:
         return False, Sequence(m.source, _unpack(bad, m.source.order))
     if Counter(ball1.values()) == Counter(ball2.values()):
         return True, None
     # forward passed but some target vector has no preimage; report its pull-back
     inverse = m.inverse().images
-    decoded2 = _decode_keys(ball2)
+    decoded2 = [(k, _items(k)) for k in ball2]
     bad = _forward_failure(decoded2, inverse, ball1)
     if bad is None:
         raise AssertionError("count mismatch without a one-sided counterexample")
@@ -213,7 +197,7 @@ def search_bijections(g1: GroupTable, g2: GroupTable, bound: int,
             if Counter(ball1.values()) != Counter(ball2.values()):
                 prep[0] = (None, None)
             else:
-                prep[0] = (_decode_keys(ball1), ball2)
+                prep[0] = ([(k, _items(k)) for k in ball1], ball2)
         decoded1, ball2 = prep[0]
         if decoded1 is None:
             return False
@@ -499,9 +483,17 @@ def verify_theorem(g1: GroupTable, g2: GroupTable, budget: int | None = None) ->
 
     Searches at the Davenport bound of the pair, runs the assertion suite on
     each surviving bijection, and compares against direct isomorphism search.
+    A budget trip is re-raised with ``partial`` naming the pair and the stage:
+    ``"davenport"``, with the partial atom catalog under ``"catalog"``, or
+    ``"search"``.
     """
     try:
         bound = max(large_davenport(g1, budget), large_davenport(g2, budget))
+    except BudgetExceededError as err:
+        err.partial = {"group1": g1.label, "group2": g2.label, "stage": "davenport",
+                       "catalog": err.partial}
+        raise
+    try:
         bijections = tuple(search_bijections(g1, g2, bound, budget))
         reports = tuple(check_assertions(b) for b in bijections)
     except BudgetExceededError as err:

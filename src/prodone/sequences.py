@@ -184,9 +184,6 @@ class Sequence:
         return (isinstance(other, Sequence) and self.group == other.group
                 and self.exponents == other.exponents)
 
-    def __ne__(self, other):
-        return not self.__eq__(other)
-
     def __hash__(self):
         h = self._hash
         if h is None:

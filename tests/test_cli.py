@@ -154,6 +154,17 @@ def test_budget_exhaustion_exits_2(capsys, tmp_path):
     assert "resource error" in err
 
 
+def test_packing_limit_exits_3_and_order_16_budget_exits_2(capsys, tmp_path):
+    code, _, err = run(capsys, "davenport", "C32", "--cache-dir", str(tmp_path))
+    assert code == 3
+    assert "31" in err and "resource error" not in err
+    # multisets of length 1..7 over the 15 non-identity elements of D16
+    code, _, err = run(capsys, "davenport", "D16", "--cache-dir", str(tmp_path),
+                       "--budget", "100000")
+    assert code == 2
+    assert "attempted 170543 states" in err
+
+
 def test_group_from_table_file(capsys, tmp_path):
     lines = ["3", "0 1 2", "1 2 0", "2 0 1", "name 1 a", "name 2 b"]
     path = tmp_path / "c3.tbl"

@@ -2,15 +2,17 @@
 
 from __future__ import annotations
 
+import itertools
 import random
+from math import comb
 
 import pytest
 
 from prodone.errors import BudgetExceededError, CatalogError, ParseError
-from prodone.factorization import (AtomCatalog, enumerate_atoms, factorizations,
-                                   fingerprint, is_atom, large_davenport,
-                                   length_system, product_one_vectors,
-                                   set_of_lengths)
+from prodone.factorization import (DEFAULT_SEARCH_BUDGET, AtomCatalog, _unpack,
+                                   enumerate_atoms, factorizations, fingerprint,
+                                   is_atom, large_davenport, length_system,
+                                   product_one_vectors, set_of_lengths)
 from prodone.groups import (GroupTable, cyclic, dihedral, direct_product,
                             parse_group_spec, symmetric)
 from prodone.sequences import Sequence, parse_sequence
@@ -210,13 +212,30 @@ def test_length_system_matches_naive_collection():
     assert set(length_system(s3, bound).sets) == naive
 
 
+def naive_ball(group, max_len):
+    """Identity-free product-one multisets -> length, by trying every ordering."""
+    out = {}
+    for seq in all_multisets(group, max_len, skip_identity=True):
+        for order in itertools.permutations(seq.terms()):
+            acc = 0
+            for x in order:
+                acc = group.mul(acc, x)
+            if acc == 0:
+                out[seq.exponents] = seq.length
+                break
+    return out
+
+
 def test_product_one_vectors_counts_match_naive():
-    for group in [symmetric(3), cyclic(6)]:
-        ball = product_one_vectors(group, 4)
-        naive = [s for s in all_multisets(group, 4, skip_identity=True)
-                 if s.is_product_one()]
-        assert len(ball) == len(naive)
-        assert sorted(ball.values()) == sorted(s.length for s in naive)
+    # element-id order drives both the append-a-larger-element rule of the
+    # level DP and the closing-term rule of the abelian DFS, so a relabeled
+    # copy runs both on a different order
+    groups = [symmetric(3), cyclic(6), dihedral(8), parse_group_spec("Q8"),
+              parse_group_spec("C3xC3"), relabeled_copy(dihedral(8), random.Random(9))]
+    for group in groups:
+        ball = product_one_vectors(group, 5)
+        mine = {_unpack(key, group.order): ln for key, ln in ball.items()}
+        assert mine == naive_ball(group, 5)
 
 
 def test_catalog_save_load_round_trip(tmp_path):
@@ -274,6 +293,46 @@ def test_budget_exhaustion_yields_partial_catalog():
     full = enumerate_atoms(group, 6)
     full_keys = {a.exponents for a in full.all_atoms()}
     assert {a.exponents for a in partial.all_atoms()} <= full_keys
+
+
+@pytest.mark.parametrize("group, budget, attempted", [
+    # multisets of length 1..4 over the 7 non-identity elements: 7+28+84+210
+    (dihedral(8), 300, 329),
+    # over the 8 non-identity elements of C3xC3: 8+36+120+330
+    (parse_group_spec("C3xC3"), 200, 494),
+])
+def test_budget_trip_keeps_the_exact_ball_below_the_tripped_length(group, budget, attempted):
+    fresh = relabeled_copy(group, random.Random(5))
+    with pytest.raises(BudgetExceededError) as err:
+        product_one_vectors(fresh, 6, budget=budget)
+    assert err.value.attempted == attempted
+    assert err.value.budget == budget
+    assert err.value.partial == {k: ln for k, ln in product_one_vectors(fresh, 6).items()
+                                 if ln <= 3}
+
+
+def test_default_budget_stops_order_16_before_two_gigabytes():
+    # the engine checks these level sizes before it builds a level
+    def level_sizes(n):
+        # identity-free multisets of each length 1..n over a group of order n
+        return [comb(n + ln - 2, ln) for ln in range(1, n + 1)]
+
+    # order 14 still fits at cap 14
+    assert sum(level_sizes(14)) == 20_058_299 <= DEFAULT_SEARCH_BUDGET
+    # order 16 trips at a length whose two predecessors, the largest levels
+    # alive at once, stay below 2 GiB at 150 bytes per state (141 measured
+    # on D12 at cap 12)
+    sizes = level_sizes(16)
+    admitted = 0
+    while sum(sizes[:admitted + 1]) <= DEFAULT_SEARCH_BUDGET:
+        admitted += 1
+    assert admitted < 16
+    assert (sizes[admitted - 1] + sizes[admitted - 2]) * 150 < 2 * 2 ** 30
+
+
+def test_length_cap_beyond_the_packing_limit_is_a_value_error():
+    with pytest.raises(ValueError, match="31"):
+        product_one_vectors(cyclic(32), 32)
 
 
 def test_product_one_vectors_budget_and_cache():

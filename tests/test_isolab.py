@@ -8,7 +8,7 @@ import random
 import pytest
 
 from prodone.errors import BudgetExceededError
-from prodone.factorization import large_davenport
+from prodone.factorization import AtomCatalog, enumerate_atoms, large_davenport
 from prodone.groups import (GroupMap, GroupTable, cyclic, dihedral,
                             direct_product, find_group_isomorphisms,
                             parse_group_spec, symmetric)
@@ -118,8 +118,23 @@ def test_verify_preserving_budget_staging():
     g = relabeled_copy(dihedral(8), rng)
     b = BasisBijection(GroupMap.identity(g))
     with pytest.raises(BudgetExceededError):
-        verify_preserving(b, 6, budget=2000)
+        verify_preserving(b, 6, budget=1000)
     assert 1 <= b.verified_bound < 6
+
+
+def test_verify_theorem_labels_a_davenport_trip_and_keeps_its_catalog():
+    # a relabeled copy misses the per-group Davenport cache
+    d12 = relabeled_copy(dihedral(12), random.Random(12))
+    with pytest.raises(BudgetExceededError) as err:
+        verify_theorem(d12, parse_group_spec("A4"), budget=10000)
+    partial = err.value.partial
+    assert partial["stage"] == "davenport"
+    assert (partial["group1"], partial["group2"]) == (d12.label, "A4")
+    catalog = partial["catalog"]
+    assert isinstance(catalog, AtomCatalog) and not catalog.exhaustive
+    # lengths 1..5 fit in the budget (4367 multisets), length 6 does not
+    exact = enumerate_atoms(d12, 5)
+    assert catalog.atoms_by_length == exact.atoms_by_length
 
 
 def test_check_assertions_requires_verification():
