@@ -10,6 +10,9 @@ Atoms searched up to length cap |G| are exhaustive: in any product-one
 ordering of an atom the partial products before the end must be pairwise
 distinct (a repeat would cut out a proper product-one segment whose
 complement is product-one as well), so atoms never exceed length |G|.
+
+The atoms are read off the ball, and cached with it: a ball vector is an atom
+unless subtracting a shorter atom leaves another ball vector.
 """
 
 from __future__ import annotations
@@ -17,6 +20,7 @@ from __future__ import annotations
 import os
 import tempfile
 import threading
+from collections import Counter
 from dataclasses import dataclass
 from math import comb
 
@@ -46,7 +50,6 @@ _SLOT = (1 << _SHIFT) - 1
 
 _CACHE_LOCK = threading.Lock()
 _BALL_CACHE: dict = {}
-_DAVENPORT_CACHE: dict = {}
 
 
 def _unpack(key: int, order: int) -> tuple:
@@ -127,57 +130,85 @@ def _level_ball(group: GroupTable, cap: int) -> dict:
     return out
 
 
-def _enumerate_po(group: GroupTable, max_len: int, budget: int) -> dict:
-    """All identity-free product-one packed vectors of length <= max_len.
-
-    The budget caps the identity-free multisets of length <= max_len, of which
-    there are C(n + l - 2, l) at each length l. It is checked level by level
-    before any enumeration, so a trip at length l allocates nothing for that
-    level and carries the exact ball up to length l - 1.
-    """
-    n = group.order
-    if max_len == 0 or n == 1:
+def _enumerate_po(group: GroupTable, cap: int) -> dict:
+    """All identity-free product-one packed vectors of length <= cap."""
+    if cap == 0 or group.order == 1:
         return {}
-    if max_len > _SLOT:
-        raise ValueError(
-            f"length cap {max_len} exceeds the packed-multiplicity limit {_SLOT}")
-    total = cap = 0
-    while cap < max_len:
-        size = comb(n + cap - 1, cap + 1)
-        if total + size > budget:
-            break
-        total += size
-        cap += 1
-    ball = (_abelian_ball if group.is_abelian else _level_ball)(group, cap)
-    if cap < max_len:
-        raise BudgetExceededError(
-            f"product-one enumeration exceeded budget of {budget} states "
-            f"at length {cap + 1}",
-            attempted=total + size, budget=budget, partial=ball)
-    return ball
+    return (_abelian_ball if group.is_abelian else _level_ball)(group, cap)
 
 
-def product_one_vectors(group: GroupTable, max_len: int, budget: int | None = None) -> dict:
-    """Packed exponent vectors of all identity-free product-one sequences.
+class _Ball:
+    """The exact product-one ball of a group to ``cap``, with its atoms once asked for."""
 
-    Maps packed vector -> length, for lengths 1..max_len. Cached per group at
-    the largest bound computed so far; treat the result as read-only.
+    def __init__(self, cap: int, vectors: dict):
+        self.cap = cap
+        self.vectors = vectors
+        self._atoms = None
+
+    def atoms(self) -> dict:
+        if self._atoms is None:
+            self._atoms = _ball_atoms(self.vectors, self.cap)
+        return self._atoms
+
+
+def _upto(vectors: dict, cap: int, upto: int) -> dict:
+    return vectors if upto >= cap else {k: ln for k, ln in vectors.items() if ln <= upto}
+
+
+def _ball(group: GroupTable, max_len: int, budget: int | None) -> tuple:
+    """(entry, upto, trip): the cached ``_Ball`` to read to length ``upto``.
+
+    The cache keeps one ball per group, at the largest cap computed so far.
+    A ball the budget stops short of is exact to the cap it reached, so it is
+    cached like any other. ``trip`` is None when ``upto == max_len``, and
+    otherwise the unraised ``BudgetExceededError`` for the caller to complete
+    with its partial result and raise.
     """
     if max_len < 0:
         raise ValueError(f"negative length bound {max_len}")
     budget = DEFAULT_SEARCH_BUDGET if budget is None else budget
     with _CACHE_LOCK:
         hit = _BALL_CACHE.get(group)
-    if hit is not None and hit[0] >= max_len:
-        if hit[0] == max_len:
-            return hit[1]
-        return {k: ln for k, ln in hit[1].items() if ln <= max_len}
-    out = _enumerate_po(group, max_len, budget)
-    with _CACHE_LOCK:
-        hit = _BALL_CACHE.get(group)
-        if hit is None or hit[0] < max_len:
-            _BALL_CACHE[group] = (max_len, out)
-    return out
+    if hit is not None and hit.cap >= max_len:
+        return hit, max_len, None
+    n = group.order
+    if max_len > _SLOT and n > 1:
+        raise ValueError(
+            f"length cap {max_len} exceeds the packed-multiplicity limit {_SLOT}")
+    # the budget caps the identity-free multisets of length <= cap, of which
+    # there are C(n + l - 2, l) at each length l
+    total = cap = 0
+    while cap < max_len and total + comb(n + cap - 1, cap + 1) <= budget:
+        total += comb(n + cap - 1, cap + 1)
+        cap += 1
+    if hit is None or hit.cap < cap:
+        hit = _Ball(cap, _enumerate_po(group, cap))
+        with _CACHE_LOCK:
+            old = _BALL_CACHE.get(group)
+            if old is None or old.cap < cap:
+                _BALL_CACHE[group] = hit
+    if cap == max_len:
+        return hit, cap, None
+    return hit, cap, BudgetExceededError(
+        f"product-one enumeration exceeded budget of {budget} states "
+        f"at length {cap + 1}", attempted=total + comb(n + cap - 1, cap + 1),
+        budget=budget)
+
+
+def product_one_vectors(group: GroupTable, max_len: int, budget: int | None = None) -> dict:
+    """Packed exponent vectors of all identity-free product-one sequences.
+
+    Maps packed vector -> length, for lengths 1..max_len; treat the result as
+    read-only. The budget is checked level by level before any enumeration,
+    so a trip at length l allocates nothing for that level and carries the
+    exact ball up to length l - 1.
+    """
+    entry, upto, trip = _ball(group, max_len, budget)
+    ball = _upto(entry.vectors, entry.cap, upto)
+    if trip is not None:
+        trip.partial = ball
+        raise trip
+    return ball
 
 
 # -- atoms ------------------------------------------------------------------------
@@ -207,35 +238,59 @@ def is_atom(seq: Sequence, max_states: int | None = None) -> bool:
     return True
 
 
-def _split_exists(key: int, ln: int, items, ball: dict) -> bool:
-    """Whether the packed vector splits into two product-one parts.
+def _ball_atoms(ball: dict, cap: int) -> dict:
+    """The atoms of a product-one ball that is exact to ``cap``.
 
-    ``items`` lists (element, mult) per support element; ``ball`` must contain
-    all identity-free product-one vectors of length < ln.
+    Lemma A: a product-one T is not an atom iff T = a·p with a an atom and p
+    a nonempty product-one sequence with |p| >= |a|. Proof: if T splits into
+    two product-one parts, factor both into atoms and let a be a shortest
+    one; p = T - a is the concatenation of the others, so it is product-one
+    and |p| >= |a|. Conversely a·p is such a split.
+
+    So the ball is settled by increasing length l, and the atoms of length
+    <= l/2 are known when length l is reached. Each length takes the cheaper
+    of two equal tests: marking a + p for every such atom a and every ball
+    vector p of length l - |a|, when these pairs are fewer than the vectors
+    of length l, and otherwise looking up T - a in the ball for each T. The
+    packed difference is exact: a ball vector q with q + a = T adds
+    slotwise, since a carry between 5-bit slots would make
+    |q| = |T| - |a| + 31k > 31 >= cap. Group structure plays no part, and a
+    partial ball gives every atom to the cap it is exact to.
     """
-    half = ln // 2
-    items = [(1 << (_SHIFT * e), v) for e, v in items]
-    k = len(items)
+    levels: list = [[] for _ in range(cap + 1)]
+    for key, ln in ball.items():
+        levels[ln].append(key)
+    keys = ball.keys()
+    found: list = [[] for _ in range(cap + 1)]  # the atoms of each length
+    short: list = []  # the atoms of length <= ln/2, shortest first
+    for ln in range(1, cap + 1):
+        if ln % 2 == 0:
+            short += found[ln // 2]
+        splits = [(found[la], levels[ln - la]) for la in range(1, ln // 2 + 1)]
+        if sum(len(atoms) * len(partners) for atoms, partners in splits) < len(levels[ln]):
+            composite: set = set()
+            for atoms, partners in splits:
+                for a in atoms:
+                    composite.update(map(a.__add__, partners))
+            found[ln] = [key for key in levels[ln] if key not in composite]
+        else:
+            found[ln] = [key for key in levels[ln]
+                         if keys.isdisjoint(map(key.__sub__, short))]
+    return {key: ln for ln in range(1, cap + 1) for key in found[ln]}
 
-    def rec(pos, sub, sublen):
-        if pos == k:
-            return sublen and sub in ball and (key - sub) in ball
-        bit, mult = items[pos]
-        cur = sub
-        for take in range(0, mult + 1):
-            if sublen + take > half:
-                break
-            if rec(pos + 1, cur, sublen + take):
-                return True
-            cur += bit
-        return False
 
-    return rec(0, 0, 0)
+def _atom_keys(group: GroupTable, max_len: int, budget: int | None) -> dict:
+    """Identity-free atoms of length <= max_len, packed vector -> length.
 
-
-def _atom_keys(ball: dict) -> dict:
-    return {key: ln for key, ln in ball.items()
-            if not _split_exists(key, ln, _items(key), ball)}
+    Cached with the group's ball. A budget trip carries a non-exhaustive
+    catalog that holds every atom shorter than the length where it tripped.
+    """
+    entry, upto, trip = _ball(group, max_len, budget)
+    atoms = _upto(entry.atoms(), entry.cap, upto)
+    if trip is not None:
+        trip.partial = _catalog_from_keys(group, atoms, max_len, exhaustive=False)
+        raise trip
+    return atoms
 
 
 @dataclass(frozen=True)
@@ -349,31 +404,15 @@ def _catalog_from_keys(group: GroupTable, keys: dict, max_length: int,
 def enumerate_atoms(group: GroupTable, max_length: int, budget: int | None = None) -> AtomCatalog:
     """Exhaustive atom catalog up to ``max_length``.
 
-    Takes the product-one ball from ``product_one_vectors`` and discards every
-    vector that splits into two product-one parts. On budget exhaustion the
-    raised error carries a non-exhaustive catalog that holds every atom
+    Keeps the vectors of the product-one ball from which no atom of at most
+    half their length splits off (see ``_ball_atoms``). On budget exhaustion
+    the raised error carries a non-exhaustive catalog that holds every atom
     shorter than the length where the budget tripped.
     """
     if max_length < 1:
         raise ValueError(f"max_length must be >= 1, got {max_length}")
-    try:
-        ball = product_one_vectors(group, max_length, budget)
-    except BudgetExceededError as err:
-        err.partial = _catalog_from_keys(group, _atom_keys(err.partial), max_length,
-                                         exhaustive=False)
-        raise
-    return _catalog_from_keys(group, _atom_keys(ball), max_length, exhaustive=True)
-
-
-def _davenport_catalog(group: GroupTable, budget: int | None) -> AtomCatalog:
-    """The exhaustive atom catalog at the proven cap |G|, kept per group."""
-    with _CACHE_LOCK:
-        hit = _DAVENPORT_CACHE.get(group)
-    if hit is None:
-        hit = enumerate_atoms(group, group.order, budget)
-        with _CACHE_LOCK:
-            _DAVENPORT_CACHE[group] = hit
-    return hit
+    return _catalog_from_keys(group, _atom_keys(group, max_length, budget), max_length,
+                              exhaustive=True)
 
 
 def large_davenport(group: GroupTable, budget: int | None = None) -> int:
@@ -382,7 +421,7 @@ def large_davenport(group: GroupTable, budget: int | None = None) -> int:
     Exhaustive search up to the proven cap |G|; see the module docstring for
     the termination argument.
     """
-    return _davenport_catalog(group, budget).max_atom_length()
+    return max(_atom_keys(group, group.order, budget).values(), default=1)
 
 
 # -- factorizations and lengths ---------------------------------------------------
@@ -474,9 +513,10 @@ class Fingerprint:
 
 def fingerprint(group: GroupTable, budget: int | None = None) -> Fingerprint:
     """Atom counts per length, the Davenport constant, and the abelianization profile."""
-    catalog = _davenport_catalog(group, budget)
-    d = catalog.max_atom_length()
-    counts = tuple(len(catalog.atoms_by_length.get(ln, ())) for ln in range(1, d + 1))
+    lengths = Counter(_atom_keys(group, group.order, budget).values())
+    lengths[1] += 1  # the identity atom
+    d = max(lengths)
+    counts = tuple(lengths[ln] for ln in range(1, d + 1))
     quotient = group.abelianization()
     profile = tuple(sorted(quotient.element_order(a) for a in quotient.elements()))
     return Fingerprint(atom_counts=counts, davenport=d, abelianization_profile=profile)

@@ -15,8 +15,8 @@ from collections import Counter
 from dataclasses import dataclass
 
 from .errors import BudgetExceededError
-from .factorization import (_SHIFT, _items, _unpack, fingerprint, large_davenport,
-                            length_system, product_one_vectors)
+from .factorization import (_SHIFT, _atom_keys, _items, _unpack, fingerprint,
+                            large_davenport, length_system, product_one_vectors)
 from .groups import (GroupMap, GroupTable, abelian_structure_label,
                      find_group_isomorphisms, parse_group_spec)
 from .sequences import Sequence
@@ -76,7 +76,17 @@ def _image_key(items, images) -> int:
 
 
 def _forward_failure(decoded1, images, ball2):
-    """First product-one vector whose image is not product-one, if any."""
+    """First vector of ``decoded1`` whose image is not product-one, if any.
+
+    Lemma B: for a bijection f with f(1) = 1 it is enough to scan the source's
+    identity-free atoms of length <= cap, not its whole ball. Proof: f acts
+    on multisets additively and keeps lengths. Every identity-free
+    product-one T of length <= cap is a concatenation of such atoms, each
+    image of which is product-one, and a concatenation of product-one
+    sequences is product-one; f(T) is identity-free because only 1 maps to 1.
+    So f(ball1) ⊆ ball2 iff f(atoms1) ⊆ ball2, and a failure is also a
+    shortest one when the atoms come by increasing length.
+    """
     for key, items in decoded1:
         if _image_key(items, images) not in ball2:
             return key
@@ -88,9 +98,11 @@ def _check_preserving_at(m: GroupMap, cap: int, budget):
 
     Identity-free product-one vectors carry the whole question: padding with
     identities changes nothing once the identity is known to map to the
-    identity. Equal per-length counts turn the forward inclusion into a
-    bijection, so the reverse direction needs no separate scan unless a
-    counterexample must be produced.
+    identity. The forward direction is checked on the source's atoms (see
+    ``_forward_failure``), so a counterexample is the first failing atom.
+    Equal per-length counts turn the forward inclusion into a bijection, so
+    the reverse direction needs no separate scan unless a counterexample must
+    be produced.
     """
     if m.images[0] != 0:
         return False, _identity_counterexample(m.source)
@@ -98,7 +110,8 @@ def _check_preserving_at(m: GroupMap, cap: int, budget):
         return True, None
     ball1 = product_one_vectors(m.source, cap, budget)
     ball2 = product_one_vectors(m.target, cap, budget)
-    bad = _forward_failure([(k, _items(k)) for k in ball1], m.images, ball2)
+    atoms1 = _atom_keys(m.source, cap, budget)
+    bad = _forward_failure([(k, _items(k)) for k in atoms1], m.images, ball2)
     if bad is not None:
         return False, Sequence(m.source, _unpack(bad, m.source.order))
     if Counter(ball1.values()) == Counter(ball2.values()):
@@ -118,22 +131,26 @@ def verify_preserving(b: BasisBijection, bound: int, budget: int | None = None) 
     """Whether b.map sends product-one to product-one both ways, up to ``bound``.
 
     On a completed positive check, ``verified_bound`` is raised to ``bound``.
-    On budget exhaustion the error propagates after staging through smaller
-    bounds, so ``verified_bound`` still records the largest completed one.
+    On budget exhaustion the error propagates after staging down through
+    smaller bounds to the first that fits the budget, so ``verified_bound``
+    still records the largest one that can be completed. The trip left its
+    exact partial ball in the ball cache, so the bounds that trip again cost
+    no enumeration, and the one that fits reads the ball from that cache.
     """
     if bound < 1:
         raise ValueError(f"bound must be >= 1, got {bound}")
     try:
         ok, _ = _check_preserving_at(b.map, bound, budget)
     except BudgetExceededError as err:
-        for cap in range(1, bound):
+        for cap in range(bound - 1, 0, -1):
             try:
                 ok, _ = _check_preserving_at(b.map, cap, budget)
             except BudgetExceededError:
-                break
+                continue
             if not ok:
                 return False
             b.verified_bound = max(b.verified_bound, cap)
+            break
         raise err
     if ok:
         b.verified_bound = max(b.verified_bound, bound)
@@ -163,7 +180,8 @@ def search_bijections(g1: GroupTable, g2: GroupTable, bound: int,
     only where the bound makes them lossless: identity to identity always,
     element orders capped at the bound, inverse compatibility from length-2
     sequences once bound >= 2, and length-3 product-one agreement once
-    bound >= 3. Surviving assignments get the full sequence check. Results
+    bound >= 3. Surviving assignments get the full sequence check, which by
+    Lemma B (see ``_forward_failure``) scans only the atoms of g1. Results
     are sorted by image tuple.
     """
     if bound < 1:
@@ -197,7 +215,8 @@ def search_bijections(g1: GroupTable, g2: GroupTable, bound: int,
             if Counter(ball1.values()) != Counter(ball2.values()):
                 prep[0] = (None, None)
             else:
-                prep[0] = ([(k, _items(k)) for k in ball1], ball2)
+                atoms1 = _atom_keys(g1, bound, budget)
+                prep[0] = ([(k, _items(k)) for k in atoms1], ball2)
         decoded1, ball2 = prep[0]
         if decoded1 is None:
             return False

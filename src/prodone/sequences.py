@@ -7,8 +7,6 @@ a dynamic program over sub-multisets, never by enumerating all orderings.
 
 from __future__ import annotations
 
-import itertools
-
 from .errors import BudgetExceededError, ParseError
 from .groups import GroupMap, GroupTable
 
@@ -116,12 +114,6 @@ class Sequence:
         if not other.divides(self):
             raise ValueError("quotient by a non-divisor")
         return Sequence(self.group, tuple(a - b for a, b in zip(self.exponents, other.exponents)))
-
-    def sub_multisets(self):
-        """All sub-multisets in graded-lexicographic order (length, then vector)."""
-        ranges = [range(v + 1) for v in self.exponents]
-        vecs = sorted(itertools.product(*ranges), key=lambda t: (sum(t), t))
-        return [Sequence(self.group, v) for v in vecs]
 
     # -- products ------------------------------------------------------------------
 

@@ -9,13 +9,15 @@ from math import comb
 import pytest
 
 from prodone.errors import BudgetExceededError, CatalogError, ParseError
-from prodone.factorization import (DEFAULT_SEARCH_BUDGET, AtomCatalog, _unpack,
-                                   enumerate_atoms, factorizations, fingerprint,
-                                   is_atom, large_davenport, length_system,
+from prodone.factorization import (DEFAULT_SEARCH_BUDGET, AtomCatalog, _atom_keys,
+                                   _ball_atoms, _unpack, enumerate_atoms,
+                                   factorizations, fingerprint, is_atom,
+                                   large_davenport, length_system,
                                    product_one_vectors, set_of_lengths)
-from prodone.groups import (GroupTable, cyclic, dihedral, direct_product,
-                            parse_group_spec, symmetric)
+from prodone.groups import cyclic, dihedral, direct_product, parse_group_spec, symmetric
 from prodone.sequences import Sequence, parse_sequence
+
+from brute_force import relabeled_copy, sub_multisets
 
 
 def all_multisets(group, max_len, skip_identity=False):
@@ -37,7 +39,7 @@ def all_multisets(group, max_len, skip_identity=False):
 def naive_is_atom(seq):
     if seq.is_empty() or not seq.is_product_one():
         return False
-    for part in seq.sub_multisets():
+    for part in sub_multisets(seq):
         if part.is_empty() or part == seq:
             continue
         if part.is_product_one() and seq.quotient(part).is_product_one():
@@ -64,7 +66,7 @@ def naive_length_spectrum(seq, _memo=None):
         return _memo[key]
     _memo[key] = set()  # cycle guard; peeling shortens, so never revisited
     out = set()
-    for part in seq.sub_multisets():
+    for part in sub_multisets(seq):
         if part.is_empty() or not naive_is_atom(part):
             continue
         rest = seq.quotient(part)
@@ -238,6 +240,45 @@ def test_product_one_vectors_counts_match_naive():
         assert mine == naive_ball(group, 5)
 
 
+def is_atom_filter(group, ball):
+    """The atoms of a ball, by the per-sequence split search of ``is_atom``."""
+    return {key: ln for key, ln in ball.items()
+            if is_atom(Sequence(group, _unpack(key, group.order)))}
+
+
+@pytest.mark.parametrize("spec", ["S3", "D8", "Q8", "C6", "C3xC3", "C2xC2xC2",
+                                  "relabeled D8"])
+def test_ball_atoms_match_is_atom(spec):
+    group = (relabeled_copy(dihedral(8), random.Random(3)) if spec == "relabeled D8"
+             else parse_group_spec(spec))
+    cap = 6
+    ball = product_one_vectors(group, cap)
+    expected = is_atom_filter(group, ball)
+    assert _ball_atoms(ball, cap) == expected
+    # smaller caps read the atoms cached with the ball, filtered by length
+    for c in range(1, cap + 1):
+        assert _atom_keys(group, c, None) == {k: ln for k, ln in expected.items() if ln <= c}
+
+
+def test_ball_atoms_of_the_partial_ball_of_a_budget_trip():
+    group = relabeled_copy(parse_group_spec("Q8"), random.Random(8))
+    trips = []
+    for _ in range(2):  # the second trip reads the partial ball the first one cached
+        with pytest.raises(BudgetExceededError) as err:
+            product_one_vectors(group, 6, budget=300)
+        trips.append((err.value.attempted, err.value.partial))
+    assert trips[0] == trips[1]
+    ball = trips[0][1]
+    assert max(ball.values()) == 3  # 7 + 28 + 84 multisets fit, 210 more do not
+    expected = is_atom_filter(group, ball)
+    assert _ball_atoms(ball, 3) == expected
+    with pytest.raises(BudgetExceededError) as err:
+        enumerate_atoms(group, 6, budget=300)
+    identity_atom = (1,) + (0,) * 7
+    assert ({a.exponents for a in err.value.partial.all_atoms()}
+            == {_unpack(k, 8) for k in expected} | {identity_atom})
+
+
 def test_catalog_save_load_round_trip(tmp_path):
     s3 = symmetric(3)
     catalog = enumerate_atoms(s3, 6)
@@ -270,16 +311,6 @@ def test_catalog_restrict():
     assert set(small.counts()) == {1, 2, 3}
     with pytest.raises(CatalogError):
         small.restrict(5)
-
-
-def relabeled_copy(group, rng):
-    """The same abstract group on shuffled element ids."""
-    perm = [0] + rng.sample(range(1, group.order), group.order - 1)
-    table = [[0] * group.order for _ in range(group.order)]
-    for a in range(group.order):
-        for b in range(group.order):
-            table[perm[a]][perm[b]] = perm[group.mul(a, b)]
-    return GroupTable(table)
 
 
 def test_budget_exhaustion_yields_partial_catalog():

@@ -7,9 +7,11 @@ import random
 
 import pytest
 
+from prodone import factorization
 from prodone.errors import BudgetExceededError
-from prodone.factorization import AtomCatalog, enumerate_atoms, large_davenport
-from prodone.groups import (GroupMap, GroupTable, cyclic, dihedral,
+from prodone.factorization import (AtomCatalog, _unpack, enumerate_atoms, is_atom,
+                                   large_davenport, product_one_vectors)
+from prodone.groups import (GroupMap, cyclic, dihedral,
                             direct_product, find_group_isomorphisms,
                             parse_group_spec, symmetric)
 from prodone.isolab import (SMALL_GROUP_SPECS, BasisBijection, check_assertions,
@@ -18,6 +20,8 @@ from prodone.isolab import (SMALL_GROUP_SPECS, BasisBijection, check_assertions,
                             verify_preserving, verify_theorem,
                             _check_preserving_at)
 from prodone.sequences import Sequence, apply_map
+
+from brute_force import relabeled_copy
 
 
 def brute_automorphisms(group):
@@ -104,26 +108,72 @@ def test_verify_preserving_identity_must_fix_identity():
     assert verify_preserving(b, 2) is False
 
 
-def relabeled_copy(group, rng):
-    perm = [0] + rng.sample(range(1, group.order), group.order - 1)
-    table = [[0] * group.order for _ in range(group.order)]
-    for a in range(group.order):
-        for b in range(group.order):
-            table[perm[a]][perm[b]] = perm[group.mul(a, b)]
-    return GroupTable(table)
-
-
-def test_verify_preserving_budget_staging():
+def test_verify_preserving_budget_staging(monkeypatch):
     rng = random.Random(31)
     g = relabeled_copy(dihedral(8), rng)
     b = BasisBijection(GroupMap.identity(g))
+    caps = []
+    enumerate_po = factorization._enumerate_po
+
+    def counted(group, cap):
+        caps.append(cap)
+        return enumerate_po(group, cap)
+
+    monkeypatch.setattr(factorization, "_enumerate_po", counted)
+    # D8 has 791 identity-free multisets to length 5 and 1715 to length 6
     with pytest.raises(BudgetExceededError):
         verify_preserving(b, 6, budget=1000)
-    assert 1 <= b.verified_bound < 6
+    # the trip's exact ball to length 5 serves the staged check
+    assert caps == [5]
+    assert b.verified_bound == 5
+
+
+def full_ball_preserves(m, cap):
+    """Whether m maps the whole product-one ball of its source onto its target's."""
+    n = m.source.order
+
+    def vectors(group):
+        return {_unpack(key, n) for key in product_one_vectors(group, cap)}
+
+    def image(vec):
+        out = [0] * n
+        for e, v in enumerate(vec):
+            out[m.images[e]] += v
+        return tuple(out)
+
+    return {image(v) for v in vectors(m.source)} == vectors(m.target)
+
+
+def identity_fixing_maps(rng):
+    """Isomorphisms, their inversion twists, and random bijections fixing 1,
+    from each group to itself and to a relabeled copy."""
+    for spec in ("S3", "D8", "Q8", "C6"):
+        g = parse_group_spec(spec)
+        inv = GroupMap.inversion(g).images
+        for target in (g, relabeled_copy(g, rng)):
+            for f in find_group_isomorphisms(g, target)[:3]:
+                yield f
+                yield GroupMap(g, target, tuple(f.images[inv[x]] for x in range(g.order)))
+            for _ in range(6):
+                perm = [0] + rng.sample(range(1, g.order), g.order - 1)
+                yield GroupMap(g, target, tuple(perm))
+
+
+def test_atom_only_check_agrees_with_a_full_ball_scan():
+    outcomes = set()
+    for m in identity_fixing_maps(random.Random(41)):
+        for cap in range(2, large_davenport(m.source) + 1):
+            ok, counterexample = _check_preserving_at(m, cap, None)
+            assert ok == full_ball_preserves(m, cap)
+            outcomes.add(ok)
+            if not ok:
+                assert is_atom(counterexample)
+                assert not apply_map(m, counterexample).is_product_one()
+    assert outcomes == {True, False}
 
 
 def test_verify_theorem_labels_a_davenport_trip_and_keeps_its_catalog():
-    # a relabeled copy misses the per-group Davenport cache
+    # a relabeled copy misses the per-group ball cache
     d12 = relabeled_copy(dihedral(12), random.Random(12))
     with pytest.raises(BudgetExceededError) as err:
         verify_theorem(d12, parse_group_spec("A4"), budget=10000)

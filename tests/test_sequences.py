@@ -13,6 +13,8 @@ from prodone.groups import (GroupMap, cyclic, dihedral, dicyclic, direct_product
                             find_group_isomorphisms, parse_group_spec, symmetric)
 from prodone.sequences import Sequence, apply_map, parse_sequence
 
+from brute_force import sub_multisets
+
 
 def oracle_products(seq):
     """Set of products over all orderings, by full permutation enumeration."""
@@ -170,7 +172,7 @@ def test_product_set_of_concat_contains_pairwise_products():
 def test_sub_multisets_graded_order_and_count():
     g = cyclic(4)
     seq = parse_sequence(g, "1,g^2")
-    subs = seq.sub_multisets()
+    subs = sub_multisets(seq)
     assert len(subs) == 6  # (1+1) * (2+1)
     lengths = [s.length for s in subs]
     assert lengths == sorted(lengths)
