@@ -147,7 +147,7 @@ class _Ball:
 
     def atoms(self) -> dict:
         if self._atoms is None:
-            self._atoms = _ball_atoms(self.vectors, self.cap)
+            self._atoms = _ball_atoms(self.vectors)
         return self._atoms
 
 
@@ -172,12 +172,14 @@ def _ball(group: GroupTable, max_len: int, budget: int | None) -> tuple:
     if hit is not None and hit.cap >= max_len:
         return hit, max_len, None
     n = group.order
-    if max_len > _SLOT and n > 1:
-        raise ValueError(
-            f"length cap {max_len} exceeds the packed-multiplicity limit {_SLOT}")
     # the budget caps the identity-free multisets of length <= cap, of which
     # there are C(n + l - 2, l) at each length l
     total = cap = 0
+    if n == 1:
+        cap = max_len  # the trivial group has no identity-free multisets
+    elif max_len > _SLOT:
+        raise ValueError(
+            f"length cap {max_len} exceeds the packed-multiplicity limit {_SLOT}")
     while cap < max_len and total + comb(n + cap - 1, cap + 1) <= budget:
         total += comb(n + cap - 1, cap + 1)
         cap += 1
@@ -238,8 +240,8 @@ def is_atom(seq: Sequence, max_states: int | None = None) -> bool:
     return True
 
 
-def _ball_atoms(ball: dict, cap: int) -> dict:
-    """The atoms of a product-one ball that is exact to ``cap``.
+def _ball_atoms(ball: dict) -> dict:
+    """The atoms of a product-one ball that is exact to some cap.
 
     Lemma A: a product-one T is not an atom iff T = a·p with a an atom and p
     a nonempty product-one sequence with |p| >= |a|. Proof: if T splits into
@@ -247,36 +249,26 @@ def _ball_atoms(ball: dict, cap: int) -> dict:
     one; p = T - a is the concatenation of the others, so it is product-one
     and |p| >= |a|. Conversely a·p is such a split.
 
-    So the ball is settled by increasing length l, and the atoms of length
-    <= l/2 are known when length l is reached. Each length takes the cheaper
-    of two equal tests: marking a + p for every such atom a and every ball
-    vector p of length l - |a|, when these pairs are fewer than the vectors
-    of length l, and otherwise looking up T - a in the ball for each T. The
-    packed difference is exact: a ball vector q with q + a = T adds
-    slotwise, since a carry between 5-bit slots would make
-    |q| = |T| - |a| + 31k > 31 >= cap. Group structure plays no part, and a
-    partial ball gives every atom to the cap it is exact to.
+    So the ball is settled by increasing length l, and T of length l is an
+    atom iff T - a is in the ball for none of the atoms a of length <= l/2,
+    all known by then. The packed difference is exact: a ball vector q with
+    q + a = T adds slotwise, since a carry between 5-bit slots would make
+    |q| = |T| - |a| + 31k > 31, longer than any ball vector. Group structure
+    plays no part, and a partial ball gives every atom to the cap it is
+    exact to.
     """
-    levels: list = [[] for _ in range(cap + 1)]
+    top = max(ball.values(), default=0)
+    levels: list = [[] for _ in range(top + 1)]
     for key, ln in ball.items():
         levels[ln].append(key)
     keys = ball.keys()
-    found: list = [[] for _ in range(cap + 1)]  # the atoms of each length
-    short: list = []  # the atoms of length <= ln/2, shortest first
-    for ln in range(1, cap + 1):
+    found: list = [[] for _ in range(top + 1)]  # the atoms of each length
+    short: list = []  # the atoms of length <= ln/2
+    for ln in range(1, top + 1):
         if ln % 2 == 0:
             short += found[ln // 2]
-        splits = [(found[la], levels[ln - la]) for la in range(1, ln // 2 + 1)]
-        if sum(len(atoms) * len(partners) for atoms, partners in splits) < len(levels[ln]):
-            composite: set = set()
-            for atoms, partners in splits:
-                for a in atoms:
-                    composite.update(map(a.__add__, partners))
-            found[ln] = [key for key in levels[ln] if key not in composite]
-        else:
-            found[ln] = [key for key in levels[ln]
-                         if keys.isdisjoint(map(key.__sub__, short))]
-    return {key: ln for ln in range(1, cap + 1) for key in found[ln]}
+        found[ln] = [key for key in levels[ln] if keys.isdisjoint(map(key.__sub__, short))]
+    return {key: ln for ln in range(1, top + 1) for key in found[ln]}
 
 
 def _atom_keys(group: GroupTable, max_len: int, budget: int | None) -> dict:
@@ -421,7 +413,14 @@ def large_davenport(group: GroupTable, budget: int | None = None) -> int:
     Exhaustive search up to the proven cap |G|; see the module docstring for
     the termination argument.
     """
-    return max(_atom_keys(group, group.order, budget).values(), default=1)
+    return max(_atom_lengths(group, budget))
+
+
+def _atom_lengths(group: GroupTable, budget: int | None) -> Counter:
+    """Atom counts by length up to |G|, the identity atom (1) included."""
+    lengths = Counter(_atom_keys(group, group.order, budget).values())
+    lengths[1] += 1
+    return lengths
 
 
 # -- factorizations and lengths ---------------------------------------------------
@@ -513,8 +512,7 @@ class Fingerprint:
 
 def fingerprint(group: GroupTable, budget: int | None = None) -> Fingerprint:
     """Atom counts per length, the Davenport constant, and the abelianization profile."""
-    lengths = Counter(_atom_keys(group, group.order, budget).values())
-    lengths[1] += 1  # the identity atom
+    lengths = _atom_lengths(group, budget)
     d = max(lengths)
     counts = tuple(lengths[ln] for ln in range(1, d + 1))
     quotient = group.abelianization()

@@ -254,7 +254,7 @@ def test_ball_atoms_match_is_atom(spec):
     cap = 6
     ball = product_one_vectors(group, cap)
     expected = is_atom_filter(group, ball)
-    assert _ball_atoms(ball, cap) == expected
+    assert _ball_atoms(ball) == expected
     # smaller caps read the atoms cached with the ball, filtered by length
     for c in range(1, cap + 1):
         assert _atom_keys(group, c, None) == {k: ln for k, ln in expected.items() if ln <= c}
@@ -271,12 +271,22 @@ def test_ball_atoms_of_the_partial_ball_of_a_budget_trip():
     ball = trips[0][1]
     assert max(ball.values()) == 3  # 7 + 28 + 84 multisets fit, 210 more do not
     expected = is_atom_filter(group, ball)
-    assert _ball_atoms(ball, 3) == expected
+    assert _ball_atoms(ball) == expected
     with pytest.raises(BudgetExceededError) as err:
         enumerate_atoms(group, 6, budget=300)
     identity_atom = (1,) + (0,) * 7
     assert ({a.exponents for a in err.value.partial.all_atoms()}
             == {_unpack(k, 8) for k in expected} | {identity_atom})
+
+
+def test_trivial_group_answers_any_cap_at_once():
+    # C1 has no identity-free multisets: no packing limit, no budget spent,
+    # and no per-length work, however large the cap
+    trivial = parse_group_spec("C1")
+    catalog = enumerate_atoms(trivial, 10**6, budget=1)
+    assert [a.exponents for a in catalog.all_atoms()] == [(1,)]
+    assert product_one_vectors(trivial, 10**6, budget=1) == {}
+    assert large_davenport(trivial) == 1
 
 
 def test_catalog_save_load_round_trip(tmp_path):
