@@ -7,6 +7,7 @@ inconsistency; 2 resource budget exhausted; 3 usage or parse errors.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -278,7 +279,9 @@ def _cmd_compare(args) -> CommandResult:
 # -- parser and dispatch ----------------------------------------------------------
 
 
+@functools.cache
 def _build_parser() -> _Parser:
+    """The argument parser, built once per process; parsing leaves it unchanged."""
     common = _Parser(add_help=False)
     common.add_argument("--format", choices=("human", "structured"), default="human",
                         help="output as aligned text or as JSON")

@@ -26,7 +26,7 @@ from math import comb
 
 from .errors import BudgetExceededError, CatalogError, ParseError
 from .groups import GroupTable
-from .sequences import Sequence, _mask_mul_slow, _submultiset_products
+from .sequences import Sequence, _submultiset_products
 
 __all__ = [
     "AtomCatalog",
@@ -107,7 +107,6 @@ def _level_ball(group: GroupTable, cap: int) -> dict:
     """
     n = group.order
     masks = group._mul_mask_tables()
-    tab = group.table
     bits = tuple(1 << (_SHIFT * e) for e in range(n))
     out: dict[int, int] = {}
     level = {0: 1}  # the empty multiset achieves exactly the identity
@@ -118,11 +117,10 @@ def _level_ball(group: GroupTable, cap: int) -> dict:
             supp = [e for e, _ in _items(key)]
             for g in range(top, n):
                 nk = key + bits[g]
-                acc = masks[g][mask] if masks else _mask_mul_slow(mask, g, tab)
+                acc = masks[g][mask]
                 for h in supp:
                     if h != g:
-                        prev = level[nk - bits[h]]
-                        acc |= masks[h][prev] if masks else _mask_mul_slow(prev, h, tab)
+                        acc |= masks[h][level[nk - bits[h]]]
                 nxt[nk] = acc
                 if acc & 1:
                     out[nk] = ln
@@ -160,7 +158,9 @@ def _ball(group: GroupTable, max_len: int, budget: int | None) -> tuple:
 
     The cache keeps one ball per group, at the largest cap computed so far.
     A ball the budget stops short of is exact to the cap it reached, so it is
-    cached like any other. ``trip`` is None when ``upto == max_len``, and
+    cached like any other. The budget arithmetic runs on every call, cache
+    hit or not, so a request trips with the same ``attempted`` and partial
+    whatever ran before. ``trip`` is None when ``upto == max_len``, and
     otherwise the unraised ``BudgetExceededError`` for the caller to complete
     with its partial result and raise.
     """
@@ -169,8 +169,6 @@ def _ball(group: GroupTable, max_len: int, budget: int | None) -> tuple:
     budget = DEFAULT_SEARCH_BUDGET if budget is None else budget
     with _CACHE_LOCK:
         hit = _BALL_CACHE.get(group)
-    if hit is not None and hit.cap >= max_len:
-        return hit, max_len, None
     n = group.order
     # the budget caps the identity-free multisets of length <= cap, of which
     # there are C(n + l - 2, l) at each length l

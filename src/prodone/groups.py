@@ -192,26 +192,18 @@ class GroupTable:
         return hashlib.sha256(text.encode("ascii")).hexdigest()
 
     def _mul_mask_tables(self):
-        """Per-element tables turning a product-set bitmask M into M*h.
+        """Per-element memos turning a product-set bitmask M into M*h.
 
-        Only built for order <= 16; callers fall back to bit iteration beyond
-        that.
+        ``self._mul_mask_tables()[h][M]`` is the mask of {m*h : m in M}. The
+        memos start empty and each entry is computed by bit iteration on
+        first use, so a caller pays only for the masks it reads, at any
+        order. They are a pure function of the immutable table. (The name
+        is older than the memos; perfbench's tracer wraps it by name.)
         """
         if self._mul_masks is None:
-            n = self.order
-            if n > 16:
-                self._mul_masks = ()
-            else:
-                tabs = []
-                for h in range(n):
-                    col = tuple(row[h] for row in self.table)
-                    t = [0] * (1 << n)
-                    for m in range(1, 1 << n):
-                        low = m & -m
-                        t[m] = t[m ^ low] | (1 << col[low.bit_length() - 1])
-                    tabs.append(t)
-                self._mul_masks = tuple(tabs)
-        return self._mul_masks or None
+            self._mul_masks = tuple(_ProductMemo(tuple(row[h] for row in self.table))
+                                    for h in range(self.order))
+        return self._mul_masks
 
     # -- dunder --------------------------------------------------------------------
 
@@ -231,6 +223,28 @@ class GroupTable:
         if name in ("order", "table", "names", "label") and hasattr(self, "label"):
             raise AttributeError(f"GroupTable is immutable; cannot set {name}")
         object.__setattr__(self, name, value)
+
+
+class _ProductMemo(dict):
+    """M -> M*h for product-set bitmasks M, one column ``col[m] = m*h`` of
+    the table; filled on lookup."""
+
+    __slots__ = ("col",)
+
+    def __init__(self, col):
+        super().__init__()
+        self.col = col
+
+    def __missing__(self, mask):
+        col = self.col
+        out = 0
+        m = mask
+        while m:
+            low = m & -m
+            out |= 1 << col[low.bit_length() - 1]
+            m ^= low
+        self[mask] = out
+        return out
 
 
 # -- validation helpers -----------------------------------------------------------
@@ -678,7 +692,17 @@ def find_group_isomorphisms(g1: GroupTable, g2: GroupTable, limit: int | None = 
     Backtracks over images of a greedy generating sequence (candidates must
     match element orders), extends each assignment to the whole group along a
     BFS word tree, then verifies the homomorphism law in full. With ``limit``
-    set, at most that many maps are returned.
+    set, the search stops after the first ``limit`` maps.
+
+    The maps come out already sorted, so stopping early keeps the first
+    ``limit`` of the full list. The generators g_0 < g_1 < ... are each the
+    smallest element outside the subgroup H_j = <g_0, ..., g_{j-1}>, so every
+    element below g_j lies in H_j, and the BFS reaches g_j first as 1*g_j,
+    so g_j gets the image ``choice[j]``. An isomorphism is fixed on H_j by
+    ``choice[:j]``. Two isomorphisms whose choices first differ at j thus
+    agree on every element below g_j and differ at g_j, by ``choice[j]``.
+    Candidates are ascending, so ``itertools.product`` visits the choices in
+    sorted image order.
     """
     if g1.order != g2.order or order_profile(g1) != order_profile(g2):
         return []
@@ -704,6 +728,8 @@ def find_group_isomorphisms(g1: GroupTable, g2: GroupTable, limit: int | None = 
     t1, t2 = g1.table, g2.table
     found = []
     for choice in itertools.product(*candidates):
+        if len(found) == limit:
+            break
         images = [0] * n
         ok = True
         for x in bfs[1:]:
@@ -718,9 +744,6 @@ def find_group_isomorphisms(g1: GroupTable, g2: GroupTable, limit: int | None = 
                 break
         if ok:
             found.append(tuple(images))
-    found.sort()
-    if limit is not None:
-        found = found[:limit]
     return [GroupMap(g1, g2, images) for images in found]
 
 

@@ -240,15 +240,6 @@ def _mask_to_set(mask: int) -> frozenset:
     return frozenset(out)
 
 
-def _mask_mul_slow(mask: int, h: int, table) -> int:
-    out = 0
-    while mask:
-        low = mask & -mask
-        out |= 1 << table[low.bit_length() - 1][h]
-        mask ^= low
-    return out
-
-
 def _submultiset_products(seq: Sequence, max_states: int | None = None):
     """Achievable-products bitmask for every sub-multiset of ``seq``.
 
@@ -269,7 +260,6 @@ def _submultiset_products(seq: Sequence, max_states: int | None = None):
             f"product-set DP needs {total} states, budget is {budget}",
             attempted=total, budget=budget)
     masks = group._mul_mask_tables()
-    table = group.table
     k = len(supp)
     zero = (0,) * k
     dp = {zero: 1}
@@ -285,8 +275,7 @@ def _submultiset_products(seq: Sequence, max_states: int | None = None):
             for pos in range(k):
                 if key[pos]:
                     prev = dp[key[:pos] + (key[pos] - 1,) + key[pos + 1:]]
-                    h = supp[pos]
-                    acc |= masks[h][prev] if masks else _mask_mul_slow(prev, h, table)
+                    acc |= masks[supp[pos]][prev]
             dp[key] = acc
         layer = list(nxt)
     return dp, supp

@@ -137,6 +137,17 @@ def test_usage_errors_exit_3(capsys):
     assert "error" in err
 
 
+def test_one_parser_answers_alike_after_errors(capsys, tmp_path):
+    argv = ("pi", "S4", "(01),(012),(0123),(13)", "--format", "structured")
+    first = run(capsys, *argv)
+    assert first[0] == 0
+    assert run(capsys, "pi", "S4")[0] == 3  # usage error: no sequence
+    assert run(capsys, "atoms", "D8", "--max", "0", "--cache-dir", str(tmp_path))[0] == 3
+    assert run(capsys, *argv) == first
+    # options of one call do not leak into the next
+    assert not run(capsys, "pi", "S3", "r,s")[1].startswith("{")
+
+
 def test_budget_exhaustion_exits_2(capsys, tmp_path):
     rng = random.Random(77)
     group = dihedral(8)

@@ -14,7 +14,8 @@ from prodone.factorization import (DEFAULT_SEARCH_BUDGET, AtomCatalog, _atom_key
                                    factorizations, fingerprint, is_atom,
                                    large_davenport, length_system,
                                    product_one_vectors, set_of_lengths)
-from prodone.groups import cyclic, dihedral, direct_product, parse_group_spec, symmetric
+from prodone.groups import (GroupTable, cyclic, dihedral, direct_product, parse_group_spec,
+                            symmetric)
 from prodone.sequences import Sequence, parse_sequence
 
 from brute_force import relabeled_copy, sub_multisets
@@ -385,6 +386,24 @@ def test_product_one_vectors_budget_and_cache():
     ball6 = product_one_vectors(fresh, 6)
     ball4 = product_one_vectors(fresh, 4)
     assert set(ball4) == {k for k, ln in ball6.items() if ln <= 4}
+
+
+def _trip(call):
+    with pytest.raises(BudgetExceededError) as err:
+        call()
+    return err.value.attempted, err.value.partial
+
+
+@pytest.mark.parametrize("compute", [product_one_vectors, enumerate_atoms])
+def test_budget_trips_alike_whatever_the_cache_holds(compute):
+    group = relabeled_copy(dihedral(8), random.Random(41))  # not cached yet
+    cold = _trip(lambda: compute(group, 6, budget=100))
+    assert cold[0] == 7 + 28 + 84  # lengths 1 and 2 fit, length 3 does not
+    compute(group, 6)  # the default budget caches the ball to length 6
+    warm = _trip(lambda: compute(group, 6, budget=100))
+    twin = GroupTable(group.table)  # equal table, so it reads the same cache entry
+    assert twin == group and twin is not group
+    assert cold == warm == _trip(lambda: compute(twin, 6, budget=100))
 
 
 def test_fingerprint_is_relabel_invariant():

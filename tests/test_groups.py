@@ -15,6 +15,7 @@ from prodone.groups import (GroupMap, GroupTable, abelian_invariants,
                             find_group_isomorphisms, from_table,
                             generating_sequence, order_profile,
                             parse_group_spec, symmetric)
+from prodone.isolab import SMALL_GROUP_SPECS
 
 
 def assert_group_axioms(group):
@@ -331,11 +332,18 @@ def test_isomorphisms_between_distinct_presentations():
 
 
 def test_isomorphism_limit_and_determinism():
-    s3 = symmetric(3)
-    limited = find_group_isomorphisms(s3, s3, limit=2)
-    assert len(limited) == 2
-    assert [m.images for m in limited] == \
-        [m.images for m in find_group_isomorphisms(s3, s3)[:2]]
+    # the early stop of ``limit`` keeps the head of the sorted full list, on
+    # every ordered pair of equal order among the catalog and five more groups
+    groups = [parse_group_spec(spec)
+              for spec in SMALL_GROUP_SPECS + ("S4", "C4xC4", "D16", "Dic16", "C2xC8")]
+    pairs = [(g1, g2) for g1, g2 in itertools.product(groups, repeat=2)
+             if g1.order == g2.order]
+    assert len(pairs) == 75
+    for g1, g2 in pairs:
+        full = [m.images for m in find_group_isomorphisms(g1, g2)]
+        assert full == sorted(full)
+        for k in (1, 2):
+            assert [m.images for m in find_group_isomorphisms(g1, g2, limit=k)] == full[:k]
 
 
 def test_order_profile_and_generators():

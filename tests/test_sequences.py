@@ -42,6 +42,21 @@ def test_product_set_matches_oracle_randomized():
         for _ in range(60):
             seq = random_sequence(rng, group, 6)
             assert seq.product_set() == oracle_products(seq)
+    # orders 16 and 24 take the same product memos as the small groups
+    for group in [dihedral(16), symmetric(4)]:
+        for _ in range(60):
+            seq = random_sequence(rng, group, 5)
+            assert seq.product_set() == oracle_products(seq)
+
+
+def test_product_memos_hold_no_more_than_the_dp_reads():
+    group = dihedral(16)  # a new instance, so its memos start empty
+    seq = parse_sequence(group, "r,r3^2,s")
+    states = math.prod(v + 1 for v in seq.exponents)
+    assert seq.product_set() == oracle_products(seq)
+    memos = group._mul_mask_tables()
+    assert all(len(memo) <= states for memo in memos)
+    assert {h for h, memo in enumerate(memos) if memo} <= set(seq.support())
 
 
 def test_product_set_examples():
@@ -86,7 +101,7 @@ def test_is_product_one_matches_product_set():
 
 def test_witness_is_valid_and_lexicographically_first():
     rng = random.Random(99)
-    for group in [symmetric(3), dihedral(8), cyclic(6)]:
+    for group in [symmetric(3), dihedral(8), cyclic(6), dihedral(16), symmetric(4)]:
         for _ in range(80):
             seq = random_sequence(rng, group, 5)
             witness = seq.product_one_witness()
