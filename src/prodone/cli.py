@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 from .errors import BudgetExceededError, CatalogError, GroupTableError, ParseError
 from .factorization import (AtomCatalog, enumerate_atoms, factorizations,
-                            large_davenport, length_system, set_of_lengths)
+                            large_davenport, length_system)
 from .groups import (GroupTable, abelian_structure_label, from_table,
                      parse_group_spec)
 from .isolab import compare_invariants, verify_theorem
@@ -186,8 +186,9 @@ def _cmd_lengths(args) -> CommandResult:
     seq = parse_sequence(group, args.sequence)
     needed = max(seq.length, 1)
     catalog = _catalog_for(group, needed, _cache_dir(args), args.budget)
-    lengths = set_of_lengths(seq, catalog)
-    count = len(factorizations(seq, catalog))
+    factors = factorizations(seq, catalog)
+    lengths = tuple(sorted({len(f) for f in factors}))
+    count = len(factors)
     payload = {"command": "lengths", "group": group.label, "sequence": seq.text(),
                "lengths": _listify(lengths), "factorizations": count}
     human = _table([["sequence", seq.text()],
@@ -198,11 +199,7 @@ def _cmd_lengths(args) -> CommandResult:
 
 def _cmd_length_system(args) -> CommandResult:
     group = _load_group(args.group)
-    if args.bound is not None:
-        bound = args.bound
-    else:
-        bound = _catalog_for(group, group.order, _cache_dir(args),
-                             args.budget).max_atom_length()
+    bound = args.bound if args.bound is not None else large_davenport(group, args.budget)
     system = length_system(group, bound, args.budget)
     payload = {"command": "length-system", "group": group.label, "bound": bound,
                "sets": _listify(system.sets)}

@@ -11,8 +11,10 @@ ordering of an atom the partial products before the end must be pairwise
 distinct (a repeat would cut out a proper product-one segment whose
 complement is product-one as well), so atoms never exceed length |G|.
 
-The atoms are read off the ball, and cached with it: a ball vector is an atom
-unless subtracting a shorter atom leaves another ball vector.
+The atoms are cached with the ball. Over a non-abelian group they are read
+off it: a ball vector is an atom unless subtracting a shorter atom leaves
+another ball vector. Over an abelian group they come from a walk over the
+zero-sum-free sequences, and the ball is never built for them.
 """
 
 from __future__ import annotations
@@ -98,6 +100,47 @@ def _abelian_ball(group: GroupTable, cap: int) -> dict:
     return out
 
 
+def _abelian_atoms(group: GroupTable, cap: int) -> dict:
+    """Identity-free atoms of an abelian group to ``cap``, by increasing length.
+
+    Over an abelian group a product-one sequence is a zero-sum sequence and
+    an atom is a minimal zero-sum sequence. The walk is a DFS over the
+    non-decreasing identity-free zero-sum-free S', carrying the mask of the
+    subset sums Sigma(S') of its nonempty subsequences. A child S'g keeps
+    Sigma(S'g) = Sigma(S') | Sigma(S')·g | {g}, and is walked iff bit 0 (the
+    identity) is clear in it. Each S' of length < cap is closed with
+    c = sigma(S')^-1 when c >= max(S').
+
+    Every S'c found is an atom: it is zero-sum, and a nonempty proper
+    zero-sum part U would leave a zero-sum part inside S', U itself if it
+    misses c and S'c - U otherwise. Every atom T arises exactly once: |T| >= 2
+    since T is identity-free, S' = T - max T is zero-sum-free because a
+    zero-sum part of it would be a proper one of T, each of its prefixes is
+    zero-sum-free too, so the walk reaches it, and it closes with
+    c = max T >= max S'. Any other S'' = T - c' closes only with c' < max T.
+    """
+    n = group.order
+    tab = group.table
+    masks = group._mul_mask_tables()
+    inv = tuple(group.inv(x) for x in range(n))
+    bits = tuple(1 << (_SHIFT * e) for e in range(n))
+    found: dict = {}  # length -> the atoms of that length
+
+    def walk(top, key, ln, acc, sums):
+        c = inv[acc]
+        if c >= top:
+            found.setdefault(ln + 1, []).append(key + bits[c])
+        if ln + 1 < cap:
+            row = tab[acc]
+            for g in range(top, n):
+                child = sums | masks[g][sums] | (1 << g)
+                if not child & 1:
+                    walk(g, key + bits[g], ln + 1, row[g], child)
+
+    walk(1, 0, 0, 0, 0)  # the empty S' closes with the identity, which top 1 excludes
+    return {key: ln for ln in sorted(found) for key in found[ln]}
+
+
 def _level_ball(group: GroupTable, cap: int) -> dict:
     """Level-wise product-set DP over all identity-free multisets.
 
@@ -136,16 +179,26 @@ def _enumerate_po(group: GroupTable, cap: int) -> dict:
 
 
 class _Ball:
-    """The exact product-one ball of a group to ``cap``, with its atoms once asked for."""
+    """The exact product-one ball of a group to ``cap`` and its atoms, each
+    computed on first read. An abelian group's atoms do not read the ball."""
 
-    def __init__(self, cap: int, vectors: dict):
+    def __init__(self, group: GroupTable, cap: int):
+        self.group = group
         self.cap = cap
-        self.vectors = vectors
-        self._atoms = None
+        self._vectors = self._atoms = None
+
+    @property
+    def vectors(self) -> dict:
+        if self._vectors is None:
+            self._vectors = _enumerate_po(self.group, self.cap)
+        return self._vectors
 
     def atoms(self) -> dict:
         if self._atoms is None:
-            self._atoms = _ball_atoms(self.vectors)
+            if self.group.is_abelian:
+                self._atoms = _abelian_atoms(self.group, self.cap)
+            else:
+                self._atoms = _ball_atoms(self.vectors)
         return self._atoms
 
 
@@ -182,7 +235,7 @@ def _ball(group: GroupTable, max_len: int, budget: int | None) -> tuple:
         total += comb(n + cap - 1, cap + 1)
         cap += 1
     if hit is None or hit.cap < cap:
-        hit = _Ball(cap, _enumerate_po(group, cap))
+        hit = _Ball(group, cap)
         with _CACHE_LOCK:
             old = _BALL_CACHE.get(group)
             if old is None or old.cap < cap:

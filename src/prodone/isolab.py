@@ -75,7 +75,42 @@ def _image_key(items, images) -> int:
     return key
 
 
-def _forward_failure(decoded1, images, ball2):
+def _image_test(group: GroupTable, cap: int, budget):
+    """A test ``(items, images) -> bool`` of whether a map into ``group``
+    sends an identity-free multiset of length <= cap, given as its
+    (element, multiplicity) items, to a product-one one.
+
+    Over an abelian group every ordering has the same product, so the test
+    multiplies the image terms out; otherwise it looks the image up in the
+    product-one ball of ``group``.
+    """
+    if not group.is_abelian:
+        ball = product_one_vectors(group, cap, budget)
+        return lambda items, images: _image_key(items, images) in ball
+    tab = group.table
+    powers = []  # powers[y][v] = y^v
+    for y in range(group.order):
+        row = [0]
+        for _ in range(cap):
+            row.append(tab[row[-1]][y])
+        powers.append(row)
+
+    def test(items, images):
+        acc = 0
+        for e, v in items:
+            acc = tab[acc][powers[images[e]][v]]
+        return acc == 0
+
+    return test
+
+
+def _side(group: GroupTable, cap: int, budget) -> tuple:
+    """(decoded atoms by increasing length, ``_image_test``) of ``group`` to ``cap``."""
+    atoms = [(k, _items(k)) for k in _atom_keys(group, cap, budget)]
+    return atoms, _image_test(group, cap, budget)
+
+
+def _forward_failure(decoded1, images, test2):
     """First vector of ``decoded1`` whose image is not product-one, if any.
 
     Lemma B: for a bijection f with f(1) = 1 it is enough to scan the source's
@@ -86,9 +121,15 @@ def _forward_failure(decoded1, images, ball2):
     sequences is product-one; f(T) is identity-free because only 1 maps to 1.
     So f(ball1) ⊆ ball2 iff f(atoms1) ⊆ ball2, and a failure is also a
     shortest one when the atoms come by increasing length.
+
+    The reverse direction is this check for f^-1, which fixes 1 as well:
+    f^-1(ball2) ⊆ ball1 iff f^-1(atoms2) ⊆ ball1, by Lemma B applied to f^-1.
+    The two inclusions together say f(ball1) = ball2. When the two groups
+    have one table the forward inclusion already does: f is injective on
+    multisets, so it cannot map the finite ball1 onto a proper part of itself.
     """
     for key, items in decoded1:
-        if _image_key(items, images) not in ball2:
+        if not test2(items, images):
             return key
     return None
 
@@ -98,33 +139,30 @@ def _check_preserving_at(m: GroupMap, cap: int, budget):
 
     Identity-free product-one vectors carry the whole question: padding with
     identities changes nothing once the identity is known to map to the
-    identity. The forward direction is checked on the source's atoms (see
-    ``_forward_failure``), so a counterexample is the first failing atom.
-    Equal per-length counts turn the forward inclusion into a bijection, so
-    the reverse direction needs no separate scan unless a counterexample must
-    be produced.
+    identity. Each direction is checked on its source's atoms (see
+    ``_forward_failure``). A forward counterexample is the first failing atom
+    of the source, a product-one sequence whose image is not. A reverse
+    counterexample is the pull-back of the first failing atom of the target,
+    a sequence that is not product-one although its image is an atom. Atoms
+    come by increasing length, so either is a shortest failure of its kind.
     """
     if m.images[0] != 0:
         return False, _identity_counterexample(m.source)
     if cap == 0:
         return True, None
-    ball1 = product_one_vectors(m.source, cap, budget)
-    ball2 = product_one_vectors(m.target, cap, budget)
-    atoms1 = _atom_keys(m.source, cap, budget)
-    bad = _forward_failure([(k, _items(k)) for k in atoms1], m.images, ball2)
+    atoms1, test1 = _side(m.source, cap, budget)
+    atoms2, test2 = _side(m.target, cap, budget)
+    n = m.source.order
+    bad = _forward_failure(atoms1, m.images, test2)
     if bad is not None:
-        return False, Sequence(m.source, _unpack(bad, m.source.order))
-    if Counter(ball1.values()) == Counter(ball2.values()):
+        return False, Sequence(m.source, _unpack(bad, n))
+    if m.source == m.target:
         return True, None
-    # forward passed but some target vector has no preimage; report its pull-back
     inverse = m.inverse().images
-    decoded2 = [(k, _items(k)) for k in ball2]
-    bad = _forward_failure(decoded2, inverse, ball1)
+    bad = _forward_failure(atoms2, inverse, test1)
     if bad is None:
-        raise AssertionError("count mismatch without a one-sided counterexample")
-    items = next(it for key, it in decoded2 if key == bad)
-    pre = Sequence(m.source, _unpack(_image_key(items, inverse), m.source.order))
-    return False, pre
+        return True, None
+    return False, Sequence(m.source, _unpack(_image_key(_items(bad), inverse), n))
 
 
 def verify_preserving(b: BasisBijection, bound: int, budget: int | None = None) -> bool:
@@ -181,8 +219,8 @@ def search_bijections(g1: GroupTable, g2: GroupTable, bound: int,
     element orders capped at the bound, inverse compatibility from length-2
     sequences once bound >= 2, and length-3 product-one agreement once
     bound >= 3. Surviving assignments get the full sequence check, which by
-    Lemma B (see ``_forward_failure``) scans only the atoms of g1. Results
-    are sorted by image tuple.
+    Lemma B (see ``_forward_failure``) scans only the atoms of g1 forward and
+    those of g2 backward. Results are sorted by image tuple.
     """
     if bound < 1:
         raise ValueError(f"bound must be >= 1, got {bound}")
@@ -206,21 +244,20 @@ def search_bijections(g1: GroupTable, g2: GroupTable, bound: int,
             row.append(y)
         cands.append(row)
 
-    prep: list = [None]
+    prep: list = []
 
     def full_check(images) -> bool:
-        if prep[0] is None:
-            ball1 = product_one_vectors(g1, bound, budget)
-            ball2 = product_one_vectors(g2, bound, budget)
-            if Counter(ball1.values()) != Counter(ball2.values()):
-                prep[0] = (None, None)
-            else:
-                atoms1 = _atom_keys(g1, bound, budget)
-                prep[0] = ([(k, _items(k)) for k in atoms1], ball2)
-        decoded1, ball2 = prep[0]
-        if decoded1 is None:
+        if not prep:
+            prep.extend(_side(g1, bound, budget) + _side(g2, bound, budget))
+        atoms1, test1, atoms2, test2 = prep
+        if _forward_failure(atoms1, images, test2) is not None:
             return False
-        return _forward_failure(decoded1, images, ball2) is None
+        if g1 == g2:
+            return True
+        inverse = [0] * n
+        for x, y in enumerate(images):
+            inverse[y] = x
+        return _forward_failure(atoms2, inverse, test1) is None
 
     images = [-1] * n
     used = [False] * n

@@ -7,6 +7,7 @@ import random
 
 import pytest
 
+from prodone import cli
 from prodone.cli import main
 from prodone.groups import GroupTable, dihedral
 
@@ -84,6 +85,49 @@ def test_lengths_of_a_fourth_power(capsys, tmp_path):
     assert code == 0
     assert payload["lengths"] == [2]
     assert payload["factorizations"] == 1
+
+
+LENGTHS_C6 = """{
+  "command": "lengths",
+  "factorizations": 2,
+  "group": "C6",
+  "lengths": [
+    2,
+    6
+  ],
+  "sequence": "g^6,g5^6"
+}
+"""
+
+
+def test_lengths_factorizes_once_per_query(capsys, tmp_path, monkeypatch):
+    calls = []
+    factorizations = cli.factorizations
+
+    def counted(b, catalog):
+        calls.append(b.text())
+        return factorizations(b, catalog)
+
+    monkeypatch.setattr(cli, "factorizations", counted)
+    for _ in range(2):  # from an empty catalog cache, then from the stored one
+        code, out, _ = run(capsys, "lengths", "C6", "g^6,g5^6", "--format", "structured",
+                           "--cache-dir", str(tmp_path))
+        assert code == 0
+        assert out == LENGTHS_C6
+    assert calls == ["g^6,g5^6"] * 2
+
+
+LENGTH_SYSTEM_S3 = {"bound": 6, "command": "length-system", "group": "S3",
+                    "sets": [[1], [2], [2, 3], [3], [4], [5], [6]]}
+
+
+def test_length_system_takes_its_default_bound_without_the_disk_catalog(capsys, tmp_path):
+    cache = tmp_path / "cache"
+    code, out, _ = run(capsys, "length-system", "S3", "--format", "structured",
+                       "--cache-dir", str(cache))
+    assert code == 0
+    assert out == json.dumps(LENGTH_SYSTEM_S3, indent=2, sort_keys=True) + "\n"
+    assert not cache.exists()
 
 
 def test_length_system_c2(capsys, tmp_path):

@@ -9,13 +9,15 @@ from math import comb
 import pytest
 
 from prodone.errors import BudgetExceededError, CatalogError, ParseError
-from prodone.factorization import (DEFAULT_SEARCH_BUDGET, AtomCatalog, _atom_keys,
-                                   _ball_atoms, _unpack, enumerate_atoms,
+from prodone.factorization import (DEFAULT_SEARCH_BUDGET, AtomCatalog, _abelian_atoms,
+                                   _abelian_ball, _atom_keys, _ball_atoms, _unpack,
+                                   enumerate_atoms,
                                    factorizations, fingerprint, is_atom,
                                    large_davenport, length_system,
                                    product_one_vectors, set_of_lengths)
 from prodone.groups import (GroupTable, cyclic, dihedral, direct_product, parse_group_spec,
                             symmetric)
+from prodone.isolab import SMALL_GROUP_SPECS
 from prodone.sequences import Sequence, parse_sequence
 
 from brute_force import relabeled_copy, sub_multisets
@@ -261,6 +263,28 @@ def test_ball_atoms_match_is_atom(spec):
         assert _atom_keys(group, c, None) == {k: ln for k, ln in expected.items() if ln <= c}
 
 
+ABELIAN_SPECS = [spec for spec in SMALL_GROUP_SPECS if parse_group_spec(spec).is_abelian]
+
+
+@pytest.mark.parametrize("spec, relabeled", [(spec, relabeled) for spec in ABELIAN_SPECS
+                                             for relabeled in (False, True)]
+                         + [("C2xC8", False), ("C4xC4", True)])
+def test_abelian_atoms_match_the_lookup_atoms_and_is_atom(spec, relabeled):
+    group = parse_group_spec(spec)
+    if relabeled:
+        group = relabeled_copy(group, random.Random(group.order))
+    top = group.order if group.order <= 12 else 8
+    lookup = _ball_atoms(_abelian_ball(group, top))
+    for cap in range(top + 1):
+        atoms = _abelian_atoms(group, cap)
+        assert atoms == {k: ln for k, ln in lookup.items() if ln <= cap}
+        assert list(atoms.values()) == sorted(atoms.values())  # by increasing length
+    # the walk's atoms pass the per-sequence split search, and at a small cap
+    # nothing else in the ball does
+    assert all(is_atom(Sequence(group, _unpack(k, group.order))) for k in atoms)
+    assert _abelian_atoms(group, 5) == is_atom_filter(group, _abelian_ball(group, 5))
+
+
 def test_ball_atoms_of_the_partial_ball_of_a_budget_trip():
     group = relabeled_copy(parse_group_spec("Q8"), random.Random(8))
     trips = []
@@ -396,14 +420,16 @@ def _trip(call):
 
 @pytest.mark.parametrize("compute", [product_one_vectors, enumerate_atoms])
 def test_budget_trips_alike_whatever_the_cache_holds(compute):
-    group = relabeled_copy(dihedral(8), random.Random(41))  # not cached yet
-    cold = _trip(lambda: compute(group, 6, budget=100))
-    assert cold[0] == 7 + 28 + 84  # lengths 1 and 2 fit, length 3 does not
-    compute(group, 6)  # the default budget caches the ball to length 6
-    warm = _trip(lambda: compute(group, 6, budget=100))
-    twin = GroupTable(group.table)  # equal table, so it reads the same cache entry
-    assert twin == group and twin is not group
-    assert cold == warm == _trip(lambda: compute(twin, 6, budget=100))
+    # D8 reads its atoms off the ball, C4xC2 finds them by the zero-sum-free walk
+    for spec in ("D8", "C4xC2"):
+        group = relabeled_copy(parse_group_spec(spec), random.Random(41))  # not cached yet
+        cold = _trip(lambda: compute(group, 6, budget=100))
+        assert cold[0] == 7 + 28 + 84  # lengths 1 and 2 fit, length 3 does not
+        compute(group, 6)  # the default budget caches the ball to length 6
+        warm = _trip(lambda: compute(group, 6, budget=100))
+        twin = GroupTable(group.table)  # equal table, so it reads the same cache entry
+        assert twin == group and twin is not group
+        assert cold == warm == _trip(lambda: compute(twin, 6, budget=100))
 
 
 def test_fingerprint_is_relabel_invariant():

@@ -7,7 +7,7 @@ import random
 
 import pytest
 
-from prodone import factorization
+from prodone import factorization, isolab
 from prodone.errors import BudgetExceededError
 from prodone.factorization import (AtomCatalog, _unpack, enumerate_atoms, is_atom,
                                    large_davenport, product_one_vectors)
@@ -144,9 +144,26 @@ def full_ball_preserves(m, cap):
     return {image(v) for v in vectors(m.source)} == vectors(m.target)
 
 
+def pair_keeping_maps(g1, g2, rng, count):
+    """Random bijections g1 -> g2 that map involutions to involutions and
+    inverse pairs to inverse pairs, so that they pass every length-2 check."""
+    for _ in range(count):
+        images = [0] * g1.order
+        free = set(range(1, g2.order))
+        for x in range(1, g1.order):
+            if x > g1.inv(x):
+                continue
+            pool = sorted(y for y in free if (g2.inv(y) == y) == (g1.inv(x) == x))
+            y = rng.choice(pool)
+            images[x], images[g1.inv(x)] = y, g2.inv(y)
+            free -= {y, g2.inv(y)}
+        yield GroupMap(g1, g2, tuple(images))
+
+
 def identity_fixing_maps(rng):
     """Isomorphisms, their inversion twists, and random bijections fixing 1,
-    from each group to itself and to a relabeled copy."""
+    from each group to itself and to a relabeled copy; and random bijections
+    fixing 1 between non-isomorphic groups of equal order, both ways."""
     for spec in ("S3", "D8", "Q8", "C6"):
         g = parse_group_spec(spec)
         inv = GroupMap.inversion(g).images
@@ -157,19 +174,68 @@ def identity_fixing_maps(rng):
             for _ in range(6):
                 perm = [0] + rng.sample(range(1, g.order), g.order - 1)
                 yield GroupMap(g, target, tuple(perm))
+    for spec1, spec2 in (("C4xC2", "D8"), ("C8", "Q8"), ("C6", "S3")):
+        g1, g2 = parse_group_spec(spec1), parse_group_spec(spec2)
+        for source, target in ((g1, g2), (g2, g1)):
+            for _ in range(3):
+                perm = [0] + rng.sample(range(1, source.order), source.order - 1)
+                yield GroupMap(source, target, tuple(perm))
+    yield from pair_keeping_maps(parse_group_spec("C8"), parse_group_spec("Q8"), rng, 3)
 
 
 def test_atom_only_check_agrees_with_a_full_ball_scan():
     outcomes = set()
     for m in identity_fixing_maps(random.Random(41)):
-        for cap in range(2, large_davenport(m.source) + 1):
+        top = max(large_davenport(m.source), large_davenport(m.target))
+        for cap in range(2, top + 1):
             ok, counterexample = _check_preserving_at(m, cap, None)
             assert ok == full_ball_preserves(m, cap)
             outcomes.add(ok)
-            if not ok:
+            if ok:
+                continue
+            image = apply_map(m, counterexample)
+            if counterexample.is_product_one():  # the forward scan failed
                 assert is_atom(counterexample)
-                assert not apply_map(m, counterexample).is_product_one()
+                assert not image.is_product_one()
+            else:  # the reverse scan failed
+                assert is_atom(image)
     assert outcomes == {True, False}
+
+
+def test_reverse_counterexample_is_the_pull_back_of_a_shortest_failing_target_atom(
+        monkeypatch):
+    # No bijection fixing 1 between two catalog groups of equal order <= 9
+    # passes the forward scan and fails the reverse one at any cap up to
+    # their Davenport bound (all of them were tried), so the reverse branch
+    # is reached here by giving the source no atoms to scan: as if C8 -> Q8
+    # had passed forward.
+    g1, g2 = parse_group_spec("C8"), parse_group_spec("Q8")
+    atom_keys = isolab._atom_keys
+    monkeypatch.setattr(isolab, "_atom_keys", lambda group, cap, budget:
+                        {} if group is g1 else atom_keys(group, cap, budget))
+    for m in pair_keeping_maps(g1, g2, random.Random(7), 5):
+        for cap in range(3, 9):
+            ok, counterexample = _check_preserving_at(m, cap, None)
+            image = apply_map(m, counterexample)
+            assert not ok and not counterexample.is_product_one() and is_atom(image)
+            # no shorter atom of Q8 pulls back to a sequence that is not product-one
+            pull = m.inverse()
+            assert all(apply_map(pull, a).is_product_one()
+                       for a in enumerate_atoms(g2, image.length - 1).all_atoms())
+
+
+@pytest.mark.parametrize("spec, automorphisms", [("C12", 4), ("C4xC2", 8)])
+def test_abelian_pairs_build_no_ball(spec, automorphisms, monkeypatch):
+    def enumerate_po(group, cap):
+        raise AssertionError(f"ball of {group.label} built to {cap}")
+
+    monkeypatch.setattr(factorization, "_enumerate_po", enumerate_po)
+    rng = random.Random(automorphisms)
+    # relabeled copies miss the per-group ball cache
+    g1 = relabeled_copy(parse_group_spec(spec), rng)
+    g2 = relabeled_copy(parse_group_spec(spec), rng)
+    verdict = verify_theorem(g1, g2)
+    assert verdict.consistent and verdict.bijections_found == automorphisms
 
 
 def test_verify_theorem_labels_a_davenport_trip_and_keeps_its_catalog():
