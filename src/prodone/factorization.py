@@ -54,8 +54,14 @@ _CACHE_LOCK = threading.Lock()
 _BALL_CACHE: dict = {}
 
 
+_SHIFTS: dict = {}  # order -> the bit offsets of its slots
+
+
 def _unpack(key: int, order: int) -> tuple:
-    return tuple((key >> (_SHIFT * e)) & _SLOT for e in range(order))
+    shifts = _SHIFTS.get(order)
+    if shifts is None:
+        shifts = _SHIFTS[order] = tuple(range(0, _SHIFT * order, _SHIFT))
+    return tuple([(key >> s) & _SLOT for s in shifts])
 
 
 def _items(key: int) -> tuple:
@@ -101,7 +107,7 @@ def _abelian_ball(group: GroupTable, cap: int) -> dict:
 
 
 def _abelian_atoms(group: GroupTable, cap: int) -> dict:
-    """Identity-free atoms of an abelian group to ``cap``, by increasing length.
+    """Identity-free atoms of an abelian group to ``cap``, by (length, packed key).
 
     Over an abelian group a product-one sequence is a zero-sum sequence and
     an atom is a minimal zero-sum sequence. The walk is a DFS over the
@@ -138,7 +144,7 @@ def _abelian_atoms(group: GroupTable, cap: int) -> dict:
                     walk(g, key + bits[g], ln + 1, row[g], child)
 
     walk(1, 0, 0, 0, 0)  # the empty S' closes with the identity, which top 1 excludes
-    return {key: ln for ln in sorted(found) for key in found[ln]}
+    return {key: ln for ln in sorted(found) for key in sorted(found[ln])}
 
 
 def _level_ball(group: GroupTable, cap: int) -> dict:
@@ -146,28 +152,48 @@ def _level_ball(group: GroupTable, cap: int) -> dict:
 
     Level l maps each multiset T of length l to its product mask
     pi(T) = U_{h in supp T} pi(T - h)·h, built from level l-1 by appending an
-    element >= the largest one of the key. Only two levels are alive at once.
+    element g >= the largest one of the key. Each level also groups its keys
+    by support, so no key is decoded, and the (bit, memo) pairs of the other
+    support elements are fetched once per (support, g), not once per key.
+
+    The top level, l = cap, is settled by rotation and never stored. A
+    cyclic rotation of a product-one ordering is product-one again, since
+    x1···xk = 1 implies x(i+1)···xk·x1···xi = (x1···xi)^-1·(x1···xi) = 1. So
+    for any term g of T some product-one ordering of T ends with g, and
+    T = S·g is product-one iff g^-1 is in pi(S): one bit test per child, no
+    mask, no lookup. Only the two levels below the top are alive at once.
     """
     n = group.order
     masks = group._mul_mask_tables()
     bits = tuple(1 << (_SHIFT * e) for e in range(n))
+    inv_bits = tuple(1 << group.inv(e) for e in range(n))
     out: dict[int, int] = {}
     level = {0: 1}  # the empty multiset achieves exactly the identity
-    for ln in range(1, cap + 1):
-        nxt = {}
-        for key, mask in level.items():
-            top = max((key.bit_length() - 1) // _SHIFT, 1)
-            supp = [e for e, _ in _items(key)]
-            for g in range(top, n):
-                nk = key + bits[g]
-                acc = masks[g][mask]
-                for h in supp:
-                    if h != g:
-                        acc |= masks[h][level[nk - bits[h]]]
-                nxt[nk] = acc
-                if acc & 1:
-                    out[nk] = ln
-        level = nxt
+    by_support: dict = {(): [0]}  # identity-free, so appends start at 1 or max(supp)
+    for ln in range(1, cap):
+        nxt: dict[int, int] = {}
+        nxt_support: dict = {}
+        for supp, keys in by_support.items():
+            for g in range(supp[-1] if supp else 1, n):
+                bg, mg = bits[g], masks[g]
+                others = [(bits[h], masks[h]) for h in supp if h != g]
+                children = nxt_support.setdefault(supp if g in supp else supp + (g,), [])
+                for key in keys:
+                    nk = key + bg
+                    acc = mg[level[key]]
+                    for bh, mh in others:
+                        acc |= mh[level[nk - bh]]
+                    nxt[nk] = acc
+                    children.append(nk)
+                    if acc & 1:
+                        out[nk] = ln
+        level, by_support = nxt, nxt_support
+    for supp, keys in by_support.items():
+        for g in range(supp[-1] if supp else 1, n):
+            bg, ig = bits[g], inv_bits[g]
+            for key in keys:
+                if level[key] & ig:
+                    out[key + bg] = cap
     return out
 
 
@@ -180,7 +206,12 @@ def _enumerate_po(group: GroupTable, cap: int) -> dict:
 
 class _Ball:
     """The exact product-one ball of a group to ``cap`` and its atoms, each
-    computed on first read. An abelian group's atoms do not read the ball."""
+    computed on first read. An abelian group's atoms do not read the ball.
+
+    Both engines give the atoms by (length, packed key), whatever order the
+    ball or the walk found them in, so a scan of the atoms, and the
+    counterexample it reports, does not depend on the engine.
+    """
 
     def __init__(self, group: GroupTable, cap: int):
         self.group = group
@@ -306,7 +337,7 @@ def _ball_atoms(ball: dict) -> dict:
     q + a = T adds slotwise, since a carry between 5-bit slots would make
     |q| = |T| - |a| + 31k > 31, longer than any ball vector. Group structure
     plays no part, and a partial ball gives every atom to the cap it is
-    exact to.
+    exact to. The atoms come by (length, packed key).
     """
     top = max(ball.values(), default=0)
     levels: list = [[] for _ in range(top + 1)]
@@ -318,7 +349,8 @@ def _ball_atoms(ball: dict) -> dict:
     for ln in range(1, top + 1):
         if ln % 2 == 0:
             short += found[ln // 2]
-        found[ln] = [key for key in levels[ln] if keys.isdisjoint(map(key.__sub__, short))]
+        found[ln] = sorted(key for key in levels[ln]
+                           if keys.isdisjoint(map(key.__sub__, short)))
     return {key: ln for ln in range(1, top + 1) for key in found[ln]}
 
 
@@ -432,15 +464,15 @@ class AtomCatalog:
 
 def _catalog_from_keys(group: GroupTable, keys: dict, max_length: int,
                        exhaustive: bool) -> AtomCatalog:
+    n = group.order
     by_length: dict[int, list] = {}
     for key, ln in keys.items():
-        by_length.setdefault(ln, []).append(Sequence(group, _unpack(key, group.order)))
+        by_length.setdefault(ln, []).append(_unpack(key, n))
     if max_length >= 1:
-        one = [0] * group.order
-        one[0] = 1
-        by_length.setdefault(1, []).append(Sequence(group, one))
-    final = {ln: tuple(sorted(atoms, key=lambda s: s.exponents))
-             for ln, atoms in by_length.items()}
+        by_length.setdefault(1, []).append((1,) + (0,) * (n - 1))
+    # bytes compare like the vectors, since every multiplicity fits in a slot
+    final = {ln: tuple(Sequence(group, vec) for vec in sorted(vecs, key=bytes))
+             for ln, vecs in by_length.items()}
     return AtomCatalog(group, max_length, exhaustive, final)
 
 

@@ -105,7 +105,7 @@ def _image_test(group: GroupTable, cap: int, budget):
 
 
 def _side(group: GroupTable, cap: int, budget) -> tuple:
-    """(decoded atoms by increasing length, ``_image_test``) of ``group`` to ``cap``."""
+    """(decoded atoms by (length, packed key), ``_image_test``) of ``group`` to ``cap``."""
     atoms = [(k, _items(k)) for k in _atom_keys(group, cap, budget)]
     return atoms, _image_test(group, cap, budget)
 
@@ -119,8 +119,9 @@ def _forward_failure(decoded1, images, test2):
     product-one T of length <= cap is a concatenation of such atoms, each
     image of which is product-one, and a concatenation of product-one
     sequences is product-one; f(T) is identity-free because only 1 maps to 1.
-    So f(ball1) ⊆ ball2 iff f(atoms1) ⊆ ball2, and a failure is also a
-    shortest one when the atoms come by increasing length.
+    So f(ball1) ⊆ ball2 iff f(atoms1) ⊆ ball2. The atoms come by (length,
+    packed key), so the failure returned is the least failing atom in that
+    order, and a shortest one.
 
     The reverse direction is this check for f^-1, which fixes 1 as well:
     f^-1(ball2) ⊆ ball1 iff f^-1(atoms2) ⊆ ball1, by Lemma B applied to f^-1.
@@ -140,11 +141,11 @@ def _check_preserving_at(m: GroupMap, cap: int, budget):
     Identity-free product-one vectors carry the whole question: padding with
     identities changes nothing once the identity is known to map to the
     identity. Each direction is checked on its source's atoms (see
-    ``_forward_failure``). A forward counterexample is the first failing atom
-    of the source, a product-one sequence whose image is not. A reverse
-    counterexample is the pull-back of the first failing atom of the target,
-    a sequence that is not product-one although its image is an atom. Atoms
-    come by increasing length, so either is a shortest failure of its kind.
+    ``_forward_failure``). A forward counterexample is the (length, packed
+    key)-least failing atom of the source, a product-one sequence whose image
+    is not. A reverse counterexample is the pull-back of the least failing
+    atom of the target, a sequence that is not product-one although its image
+    is an atom. Either is a shortest failure of its kind.
     """
     if m.images[0] != 0:
         return False, _identity_counterexample(m.source)

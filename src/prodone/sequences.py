@@ -29,10 +29,10 @@ class Sequence:
     __slots__ = ("group", "exponents", "_hash")
 
     def __init__(self, group: GroupTable, exponents):
-        exps = tuple(int(v) for v in exponents)
+        exps = tuple(map(int, exponents))
         if len(exps) != group.order:
             raise ValueError(f"exponent vector has length {len(exps)}, group order is {group.order}")
-        if any(v < 0 for v in exps):
+        if min(exps) < 0:  # a group has at least one element, so exps is not empty
             raise ValueError(f"negative multiplicity in {exps}")
         object.__setattr__(self, "group", group)
         object.__setattr__(self, "exponents", exps)

@@ -23,3 +23,36 @@ def relabeled_copy(group, rng):
         for b in range(group.order):
             table[perm[a]][perm[b]] = perm[group.mul(a, b)]
     return GroupTable(table)
+
+
+def is_product_one_by_orderings(group, terms):
+    """Whether some ordering of ``terms`` multiplies to the identity, trying each."""
+    for order in set(itertools.permutations(terms)):
+        acc = 0
+        for x in order:
+            acc = group.mul(acc, x)
+        if acc == 0:
+            return True
+    return False
+
+
+def least_failing_atom(m, cap, shift):
+    """The identity-free atom of ``m.source`` of length <= cap whose image is
+    not product-one, least by (length, packed key), with ``shift`` bits per
+    packed slot; None if there is none. Product-one is decided by trying
+    every ordering, and atomicity by trying every split into two parts."""
+    src = m.source
+    for ln in range(1, cap + 1):
+        vecs = [Sequence.from_elements(src, c).exponents
+                for c in itertools.combinations_with_replacement(range(1, src.order), ln)]
+        for vec in sorted(vecs, key=lambda v: sum(x << (shift * e) for e, x in enumerate(v))):
+            seq = Sequence(src, vec)
+            terms = seq.terms()
+            if (not is_product_one_by_orderings(src, terms)
+                    or is_product_one_by_orderings(m.target, [m.images[x] for x in terms])):
+                continue
+            if not any(is_product_one_by_orderings(src, part.terms())
+                       and is_product_one_by_orderings(src, seq.quotient(part).terms())
+                       for part in sub_multisets(seq)[1:-1]):
+                return seq
+    return None

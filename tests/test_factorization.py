@@ -4,14 +4,15 @@ from __future__ import annotations
 
 import itertools
 import random
+from collections import Counter
 from math import comb
 
 import pytest
 
 from prodone.errors import BudgetExceededError, CatalogError, ParseError
 from prodone.factorization import (DEFAULT_SEARCH_BUDGET, AtomCatalog, _abelian_atoms,
-                                   _abelian_ball, _atom_keys, _ball_atoms, _unpack,
-                                   enumerate_atoms,
+                                   _abelian_ball, _atom_keys, _ball_atoms, _level_ball,
+                                   _unpack, enumerate_atoms,
                                    factorizations, fingerprint, is_atom,
                                    large_davenport, length_system,
                                    product_one_vectors, set_of_lengths)
@@ -243,6 +244,72 @@ def test_product_one_vectors_counts_match_naive():
         assert mine == naive_ball(group, 5)
 
 
+@pytest.mark.parametrize("spec", ["S3", "D8", "Q8", "relabeled D8"])
+def test_level_ball_matches_naive_at_every_cap(spec):
+    # the top length of each cap is settled by the rotation bit test, so
+    # every length from 1 to 6 goes through that branch once
+    group = (relabeled_copy(dihedral(8), random.Random(12)) if spec == "relabeled D8"
+             else parse_group_spec(spec))
+    naive = naive_ball(group, 6)
+    for cap in range(1, 7):
+        mine = {_unpack(key, group.order): ln for key, ln in _level_ball(group, cap).items()}
+        assert mine == {vec: ln for vec, ln in naive.items() if ln <= cap}
+
+
+@pytest.mark.parametrize("spec", ["D10", "Dic12"])
+def test_level_ball_at_a_cap_is_the_next_cap_cut_short(spec):
+    group = parse_group_spec(spec)
+    balls = {cap: _level_ball(group, cap) for cap in range(1, 10)}
+    for cap in range(1, 9):
+        assert balls[cap] == {key: ln for key, ln in balls[cap + 1].items() if ln <= cap}
+
+
+# Identity-free product-one multisets and atoms per length 1..cap, as the
+# level DP that visited every key with its full product mask counted them.
+PINNED_COUNTS = [
+    ("C2", 2, [0, 1], [0, 1]),
+    ("C3", 3, [0, 1, 2], [0, 1, 2]),
+    ("C4", 4, [0, 2, 2, 5], [0, 2, 2, 2]),
+    ("C2xC2", 4, [0, 3, 1, 6], [0, 3, 1, 0]),
+    ("C5", 5, [0, 2, 4, 7, 12], [0, 2, 4, 4, 4]),
+    ("C6", 6, [0, 3, 6, 12, 20, 38], [0, 3, 6, 6, 2, 2]),
+    ("S3", 6, [0, 4, 8, 28, 50, 100], [0, 4, 8, 18, 18, 9]),
+    ("C7", 7, [0, 3, 8, 18, 36, 66, 114], [0, 3, 8, 12, 12, 6, 6]),
+    ("C8", 8, [0, 4, 10, 28, 56, 118, 212, 381], [0, 4, 10, 18, 16, 8, 4, 4]),
+    ("C4xC2", 8, [0, 5, 9, 31, 53, 123, 207, 390], [0, 5, 9, 16, 8, 0, 0, 0]),
+    ("C2xC2xC2", 8, [0, 7, 7, 35, 49, 133, 197, 406], [0, 7, 7, 7, 0, 0, 0, 0]),
+    ("D8", 8, [0, 6, 12, 50, 93, 226, 388, 745], [0, 6, 12, 29, 21, 4, 0, 0]),
+    ("Q8", 8, [0, 4, 14, 48, 95, 222, 392, 741], [0, 4, 14, 38, 39, 24, 0, 0]),
+    ("C9", 9, [0, 4, 14, 36, 88, 192, 380, 715, 1274], [0, 4, 14, 26, 32, 18, 12, 6, 6]),
+    ("C3xC3", 9, [0, 4, 16, 34, 88, 196, 376, 715, 1280], [0, 4, 16, 24, 24, 0, 0, 0, 0]),
+    ("D10", 10, [0, 7, 24, 137, 452, 1301, 2944, 6178, 11784, 21554],
+     [0, 7, 24, 109, 284, 420, 320, 150, 60, 30]),
+    ("C12", 12, [0, 6, 24, 85, 248, 674, 1614, 3658, 7690, 15414, 29372, 53934],
+     [0, 6, 24, 64, 104, 84, 36, 20, 12, 8, 4, 4]),
+    ("D12", 12, [0, 9, 33, 192, 617, 1858, 4556, 10660, 22510, 45718, 87158, 160938],
+     [0, 9, 33, 147, 320, 278, 102, 18, 6, 0, 0, 0]),
+    ("Dic12", 12, [0, 6, 36, 183, 626, 1830, 4584, 10600, 22570, 45592, 87284, 160712],
+     [0, 6, 36, 162, 410, 524, 276, 72, 12, 0, 0, 0]),
+    ("A4", 12, [0, 7, 41, 250, 899, 2562, 6338, 14436, 30629, 61383, 117353, 215341],
+     [0, 7, 41, 222, 612, 582, 132, 0, 0, 0, 0, 0]),
+    ("S4", 6, [0, 16, 170, 2425, 24710, 159247], [0, 16, 170, 2289, 21990, 112618]),
+]
+
+
+def test_pinned_counts_cover_the_catalog():
+    assert [spec for spec, _, _, _ in PINNED_COUNTS] == list(SMALL_GROUP_SPECS) + ["S4"]
+
+
+@pytest.mark.parametrize("spec, cap, balls, atoms", PINNED_COUNTS,
+                         ids=[spec for spec, _, _, _ in PINNED_COUNTS])
+def test_ball_and_atom_counts_per_length_are_pinned(spec, cap, balls, atoms):
+    group = parse_group_spec(spec)
+    ball = Counter(product_one_vectors(group, cap).values())
+    found = Counter(_atom_keys(group, cap, None).values())
+    assert [ball[ln] for ln in range(1, cap + 1)] == balls
+    assert [found[ln] for ln in range(1, cap + 1)] == atoms
+
+
 def is_atom_filter(group, ball):
     """The atoms of a ball, by the per-sequence split search of ``is_atom``."""
     return {key: ln for key, ln in ball.items()
@@ -385,15 +452,17 @@ def test_default_budget_stops_order_16_before_two_gigabytes():
 
     # order 14 still fits at cap 14
     assert sum(level_sizes(14)) == 20_058_299 <= DEFAULT_SEARCH_BUDGET
-    # order 16 trips at a length whose two predecessors, the largest levels
-    # alive at once, stay below 2 GiB at 150 bytes per state (141 measured
-    # on D12 at cap 12)
+    # order 16 admits lengths 1..12 and trips at 13
     sizes = level_sizes(16)
     admitted = 0
     while sum(sizes[:admitted + 1]) <= DEFAULT_SEARCH_BUDGET:
         admitted += 1
-    assert admitted < 16
-    assert (sizes[admitted - 1] + sizes[admitted - 2]) * 150 < 2 * 2 ** 30
+    assert admitted == 12 < 16
+    # the top admitted length is settled by rotation and never stored, so
+    # the largest levels alive at once are the two below it; at 210 bytes
+    # per stored state (179 measured on D12 at cap 12 and 203 on A4, the
+    # ball they build included) they stay below 1.5 GiB
+    assert (sizes[admitted - 2] + sizes[admitted - 3]) * 210 < 1.5 * 2 ** 30
 
 
 def test_length_cap_beyond_the_packing_limit_is_a_value_error():

@@ -21,7 +21,7 @@ from prodone.isolab import (SMALL_GROUP_SPECS, BasisBijection, check_assertions,
                             _check_preserving_at)
 from prodone.sequences import Sequence, apply_map
 
-from brute_force import relabeled_copy
+from brute_force import least_failing_atom, relabeled_copy
 
 
 def brute_automorphisms(group):
@@ -218,10 +218,36 @@ def test_reverse_counterexample_is_the_pull_back_of_a_shortest_failing_target_at
             ok, counterexample = _check_preserving_at(m, cap, None)
             image = apply_map(m, counterexample)
             assert not ok and not counterexample.is_product_one() and is_atom(image)
-            # no shorter atom of Q8 pulls back to a sequence that is not product-one
-            pull = m.inverse()
-            assert all(apply_map(pull, a).is_product_one()
-                       for a in enumerate_atoms(g2, image.length - 1).all_atoms())
+            # the image is the least atom of Q8 that pulls back to a sequence
+            # that is not product-one
+            assert image == least_failing_atom(m.inverse(), cap, factorization._SHIFT)
+
+
+@pytest.mark.parametrize("spec1, spec2, cap, keep_pairs", [
+    ("D8", "Q8", 5, False), ("Q8", "D8", 5, False), ("C8", "Q8", 5, True),
+    ("Q8", "C8", 5, True), ("C4xC2", "D8", 5, False), ("D8", "D8", 5, True),
+    ("D10", "D10", 5, True), ("S3", "C6", 6, False)])
+def test_counterexample_is_the_least_failing_atom(spec1, spec2, cap, keep_pairs):
+    # the atoms of both engines come by (length, packed key): a non-abelian
+    # source reads them off its ball, an abelian one from the zero-sum-free walk.
+    # Random maps mostly fail on an inverse pair; maps that keep inverse pairs
+    # (where the two groups have as many involutions) fail on longer atoms.
+    g1, g2 = parse_group_spec(spec1), parse_group_spec(spec2)
+    rng = random.Random(cap)
+    maps = [GroupMap(g1, g2, tuple([0] + rng.sample(range(1, g2.order), g2.order - 1)))
+            for _ in range(4)]
+    if keep_pairs:
+        maps += pair_keeping_maps(g1, g2, rng, 4)
+    failures = 0
+    for m in maps:
+        ok, counterexample = _check_preserving_at(m, cap, None)
+        expected = least_failing_atom(m, cap, factorization._SHIFT)
+        if expected is None:  # no forward failure: preserving, or failing in reverse
+            assert ok or not counterexample.is_product_one()
+            continue
+        failures += 1
+        assert not ok and counterexample == expected
+    assert failures >= len(maps) - 1
 
 
 @pytest.mark.parametrize("spec, automorphisms", [("C12", 4), ("C4xC2", 8)])

@@ -1,4 +1,5 @@
-"""Metamorphic properties of abelian atoms under random relabeling."""
+"""Metamorphic properties of atoms and balls under random relabeling and
+under passing to the opposite group."""
 
 from __future__ import annotations
 
@@ -7,8 +8,8 @@ from collections import Counter
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from prodone.factorization import _atom_keys
-from prodone.groups import cyclic, direct_product
+from prodone.factorization import _atom_keys, product_one_vectors
+from prodone.groups import cyclic, direct_product, parse_group_spec
 
 from brute_force import relabeled_copy
 
@@ -33,3 +34,18 @@ def test_relabeling_keeps_atom_counts_and_olson_davenport(case, cap):
     # Olson: D(C_m x C_n) = m + n - 1 for m | n
     if m + n - 1 <= cap:
         assert max(counts, default=1) == m + n - 1
+
+
+NON_ABELIAN = ["S3", "D8", "Q8", "D10", "Dic12", "A4"]
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.sampled_from(NON_ABELIAN), st.randoms(use_true_random=False),
+       st.integers(min_value=1, max_value=7))
+def test_relabeling_keeps_ball_counts_and_the_opposite_group_keeps_the_ball(spec, rng, cap):
+    group = parse_group_spec(spec)
+    twin = relabeled_copy(group, rng)  # a new table, so it misses the ball cache
+    ball = product_one_vectors(twin, cap)
+    assert Counter(ball.values()) == Counter(product_one_vectors(group, cap).values())
+    # reversing an ordering of S reverses its product in G^op, and 1 reversed is 1
+    assert product_one_vectors(twin.opposite(), cap) == ball
