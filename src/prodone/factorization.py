@@ -564,19 +564,45 @@ class LengthSystem:
 
 
 def length_system(group: GroupTable, bound: int, budget: int | None = None) -> LengthSystem:
-    """L(G) truncated to sequences of length <= bound (empty sequence excluded)."""
+    """L(G) truncated to sequences of length <= bound (empty sequence excluded).
+
+    One forward DP over the packed identity-free atoms to ``bound``. Level l
+    maps each identity-free product-one T of length l to a mask whose bit i
+    is set iff T factors into i atoms; level 0 holds the empty sequence with
+    {0}. Each R, by increasing length, and each atom a with |R| + |a| <= bound
+    add 1 + L(R) to L(R + a). This is exact:
+
+    - Every identity-free product-one T of length <= bound is a concatenation
+      of identity-free atoms, each no longer than T, so each factorization
+      T = R·a has a catalog atom a and a product-one (or empty) R settled
+      before T. A concatenation of product-one sequences is product-one, so
+      the DP reaches exactly the product-one ball and needs no ball of its own.
+    - (1) is the only atom that contains the identity, so
+      L(T·1^p) = L(T) + p: the identity paddings are shifts of the masks.
+    - The packed addition R + a is exact, because no slot passes 31 within
+      the cap, which ``_ball`` keeps at most 31.
+
+    A budget trip comes from ``_atom_keys`` and carries its partial catalog.
+    """
     if bound < 1:
         raise ValueError(f"bound must be >= 1, got {bound}")
-    catalog = enumerate_atoms(group, bound, budget)
-    ball = product_one_vectors(group, bound, budget)
-    collected = set()
-    entries = [(0, 0)] + sorted((ln, key) for key, ln in ball.items())
-    for ln, key in entries:
-        base = set_of_lengths(Sequence(group, _unpack(key, group.order)), catalog)
-        start = 1 if ln == 0 else 0  # identity padding; skip the fully empty sequence
-        for pad in range(start, bound - ln + 1):
-            collected.add(tuple(x + pad for x in base))
-    return LengthSystem(bound, tuple(sorted(collected)))
+    atoms: list = [[] for _ in range(bound + 1)]
+    for key, ln in _atom_keys(group, bound, budget).items():
+        atoms[ln].append(key)
+    levels: list = [{0: 1}] + [{} for _ in range(bound)]
+    for ln in range(bound):
+        for r, mask in levels[ln].items():
+            mask <<= 1
+            for la in range(2, bound - ln + 1):  # identity-free atoms have length >= 2
+                level = levels[ln + la]
+                for a in atoms[la]:
+                    t = r + a
+                    level[t] = level.get(t, 0) | mask
+    collected = {mask << pad for ln, level in enumerate(levels)
+                 for mask in set(level.values())
+                 for pad in range(1 if ln == 0 else 0, bound - ln + 1)}
+    return LengthSystem(bound, tuple(sorted(
+        tuple(i for i in range(m.bit_length()) if m >> i & 1) for m in collected)))
 
 
 @dataclass(frozen=True)

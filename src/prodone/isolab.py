@@ -40,11 +40,12 @@ __all__ = [
 
 SMALL_GROUP_SPECS = (
     "C2", "C3", "C4", "C2xC2", "C5", "C6", "S3", "C7", "C8", "C4xC2",
-    "C2xC2xC2", "D8", "Q8", "C9", "C3xC3", "D10", "C12", "D12", "Dic12", "A4")
+    "C2xC2xC2", "D8", "Q8", "C9", "C3xC3", "C10", "D10", "C11", "C12", "C2xC6",
+    "D12", "Dic12", "A4")
 
 
 def small_group_catalog() -> tuple:
-    """The groups of order <= 12, one per isomorphism class."""
+    """The groups of order 2 to 12, one per isomorphism class (23 in all)."""
     return tuple(parse_group_spec(spec) for spec in SMALL_GROUP_SPECS)
 
 

@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import itertools
 
+from prodone.factorization import (LengthSystem, _unpack, enumerate_atoms,
+                                   product_one_vectors, set_of_lengths)
 from prodone.groups import GroupTable
 from prodone.sequences import Sequence
 
@@ -56,3 +58,19 @@ def least_failing_atom(m, cap, shift):
                        for part in sub_multisets(seq)[1:-1]):
                 return seq
     return None
+
+
+def length_system_by_factorizations(group, bound, budget=None):
+    """L(G) to ``bound`` from every factorization of every ball vector: each
+    identity-free product-one T (and the empty one) gets ``set_of_lengths``,
+    shifted by every identity padding that keeps the length <= bound."""
+    catalog = enumerate_atoms(group, bound, budget)
+    ball = product_one_vectors(group, bound, budget)
+    collected = set()
+    entries = [(0, 0)] + sorted((ln, key) for key, ln in ball.items())
+    for ln, key in entries:
+        base = set_of_lengths(Sequence(group, _unpack(key, group.order)), catalog)
+        start = 1 if ln == 0 else 0  # identity padding; skip the fully empty sequence
+        for pad in range(start, bound - ln + 1):
+            collected.add(tuple(x + pad for x in base))
+    return LengthSystem(bound, tuple(sorted(collected)))

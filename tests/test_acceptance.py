@@ -197,14 +197,14 @@ def test_criterion_3_cyclic_davenport_constants():
 
 def test_criterion_4_theorem_holds_across_the_catalog(catalog_verdicts):
     verdicts, elapsed = catalog_verdicts
-    assert len(verdicts) == 210
+    assert len(verdicts) == 276
     bad = [key for key, v in verdicts.items() if not v.consistent]
     assert not bad, bad
     matched = sum(1 for v in verdicts.values() if v.groups_isomorphic)
-    assert matched == 20  # exactly the self-pairs; the catalog has no duplicates
+    assert matched == 23  # exactly the self-pairs; the catalog has no duplicates
     report(4, elapsed < 1800,
            f"preserving bijections exist iff groups are isomorphic on all "
-           f"210 catalog pairs ({elapsed:.1f}s < 1800s)")
+           f"276 catalog pairs ({elapsed:.1f}s < 1800s)")
 
 
 def test_criterion_5_every_bijection_classifies(catalog_verdicts):

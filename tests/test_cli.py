@@ -130,6 +130,16 @@ def test_length_system_takes_its_default_bound_without_the_disk_catalog(capsys, 
     assert not cache.exists()
 
 
+def test_compare_d10_d10_answers_at_its_default_bound(capsys, tmp_path):
+    code, payload, _ = run_json(capsys, "compare", "D10", "D10",
+                                "--cache-dir", str(tmp_path))
+    assert code == 0
+    assert payload["bound"] == 10  # D(D10)
+    assert {c["invariant"]: c["status"] for c in payload["comparisons"]} == {
+        name: "matches" for name in
+        ("abelianization", "davenport", "atom_counts", "length_system")}
+
+
 def test_length_system_c2(capsys, tmp_path):
     code, payload, _ = run_json(capsys, "length-system", "C2", "--bound", "4",
                                 "--cache-dir", str(tmp_path))

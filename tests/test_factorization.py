@@ -21,7 +21,7 @@ from prodone.groups import (GroupTable, cyclic, dihedral, direct_product, parse_
 from prodone.isolab import SMALL_GROUP_SPECS
 from prodone.sequences import Sequence, parse_sequence
 
-from brute_force import relabeled_copy, sub_multisets
+from brute_force import length_system_by_factorizations, relabeled_copy, sub_multisets
 
 
 def all_multisets(group, max_len, skip_identity=False):
@@ -157,6 +157,12 @@ def test_davenport_known_small_values():
     assert large_davenport(parse_group_spec("C2xC2xC2")) == 4
 
 
+@pytest.mark.parametrize("spec, m, n", [("C10", 1, 10), ("C11", 1, 11), ("C2xC6", 2, 6)])
+def test_davenport_of_the_rank_two_catalog_additions_is_olsons(spec, m, n):
+    # D(C_n) = n, and Olson: D(C_m x C_n) = m + n - 1 for m | n
+    assert large_davenport(parse_group_spec(spec)) == m + n - 1
+
+
 def test_factorizations_examples():
     c2 = cyclic(2)
     catalog = enumerate_atoms(c2, 6)
@@ -216,6 +222,39 @@ def test_length_system_matches_naive_collection():
         if seq.is_product_one():
             naive.add(tuple(sorted(naive_length_spectrum(seq))))
     assert set(length_system(s3, bound).sets) == naive
+
+
+@pytest.mark.parametrize("spec", ["C1", "S3", "D8", "Q8", "C6", "C3xC3", "C2xC2xC2",
+                                  "relabeled D8"])
+def test_length_system_matches_the_factorization_oracle_to_the_davenport_bound(spec):
+    group = (relabeled_copy(dihedral(8), random.Random(21)) if spec == "relabeled D8"
+             else parse_group_spec(spec))
+    for bound in range(1, large_davenport(group) + 1):
+        assert length_system(group, bound) == length_system_by_factorizations(group, bound)
+
+
+@pytest.mark.parametrize("spec", ["D10", "Dic12"])
+def test_length_system_matches_the_factorization_oracle_to_bound_5(spec):
+    group = parse_group_spec(spec)
+    for bound in range(1, 6):
+        assert length_system(group, bound) == length_system_by_factorizations(group, bound)
+    # to bound 5 every set is a singleton. {2, 3} first comes from an
+    # identity-free sequence of length 6, where the oracle takes 3.5 s (D10)
+    # and 5.8 s (Dic12), so the sets at bound 6 are pinned from one run of it
+    assert length_system(group, 6).sets == ((1,), (2,), (2, 3), (3,), (4,), (5,), (6,))
+
+
+@pytest.mark.parametrize("spec", SMALL_GROUP_SPECS)
+def test_sets_of_lengths_at_the_davenport_bound_have_elasticity_at_most_d_over_2(spec):
+    # (1) has length 1 and every other atom length 2 to D, so a sequence of
+    # length n with p identities has between p + (n - p)/D and p + (n - p)/2
+    # atoms in each factorization, and p + (n - p)/2 <= (D/2)(p + (n - p)/D)
+    group = parse_group_spec(spec)
+    d = large_davenport(group)
+    system = length_system(group, d)
+    assert system.bound == d and (d,) in system
+    for lengths in system.sets:
+        assert 1 <= min(lengths) and 2 * max(lengths) <= d * min(lengths), (lengths, d)
 
 
 def naive_ball(group, max_len):
@@ -282,10 +321,16 @@ PINNED_COUNTS = [
     ("Q8", 8, [0, 4, 14, 48, 95, 222, 392, 741], [0, 4, 14, 38, 39, 24, 0, 0]),
     ("C9", 9, [0, 4, 14, 36, 88, 192, 380, 715, 1274], [0, 4, 14, 26, 32, 18, 12, 6, 6]),
     ("C3xC3", 9, [0, 4, 16, 34, 88, 196, 376, 715, 1280], [0, 4, 16, 24, 24, 0, 0, 0, 0]),
+    ("C10", 10, [0, 5, 16, 51, 128, 303, 640, 1294, 2424, 4390],
+     [0, 5, 16, 36, 48, 32, 12, 8, 4, 4]),
     ("D10", 10, [0, 7, 24, 137, 452, 1301, 2944, 6178, 11784, 21554],
      [0, 7, 24, 109, 284, 420, 320, 150, 60, 30]),
+    ("C11", 11, [0, 5, 20, 65, 182, 455, 1040, 2210, 4420, 8398, 15270],
+     [0, 5, 20, 50, 82, 70, 50, 30, 20, 10, 10]),
     ("C12", 12, [0, 6, 24, 85, 248, 674, 1614, 3658, 7690, 15414, 29372, 53934],
      [0, 6, 24, 64, 104, 84, 36, 20, 12, 8, 4, 4]),
+    ("C2xC6", 12, [0, 7, 23, 88, 245, 684, 1604, 3678, 7670, 15456, 29330, 54010],
+     [0, 7, 23, 60, 84, 54, 24, 0, 0, 0, 0, 0]),
     ("D12", 12, [0, 9, 33, 192, 617, 1858, 4556, 10660, 22510, 45718, 87158, 160938],
      [0, 9, 33, 147, 320, 278, 102, 18, 6, 0, 0, 0]),
     ("Dic12", 12, [0, 6, 36, 183, 626, 1830, 4584, 10600, 22570, 45592, 87284, 160712],

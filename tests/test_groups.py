@@ -338,7 +338,7 @@ def test_isomorphism_limit_and_determinism():
               for spec in SMALL_GROUP_SPECS + ("S4", "C4xC4", "D16", "Dic16", "C2xC8")]
     pairs = [(g1, g2) for g1, g2 in itertools.product(groups, repeat=2)
              if g1.order == g2.order]
-    assert len(pairs) == 75
+    assert len(pairs) == 88
     for g1, g2 in pairs:
         full = [m.images for m in find_group_isomorphisms(g1, g2)]
         assert full == sorted(full)

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import itertools
 import random
+from collections import Counter
 
 import pytest
 
@@ -434,13 +435,22 @@ def test_opposite_transport_swaps_classification():
 
 def test_small_group_catalog_contents():
     groups = small_group_catalog()
-    assert len(groups) == len(SMALL_GROUP_SPECS) == 20
+    assert len(groups) == len(SMALL_GROUP_SPECS) == 23
     orders = [g.order for g in groups]
     assert max(orders) == 12
     # one entry per isomorphism class: all pairs distinguished
     for i, g1 in enumerate(groups):
         for g2 in groups[i + 1:]:
             assert not find_group_isomorphisms(g1, g2, limit=1)
+
+
+def test_small_group_catalog_has_every_group_of_order_2_to_12():
+    # OEIS A000001, the number of groups of each order n = 2..12; with the
+    # pairwise non-isomorphism above, the catalog holds each class once
+    known = [1, 1, 2, 1, 2, 1, 5, 2, 2, 1, 5]
+    orders = Counter(g.order for g in small_group_catalog())
+    assert [orders[n] for n in range(2, 13)] == known
+    assert sum(orders.values()) == sum(known) == 23
 
 
 def test_compare_invariants_statuses():

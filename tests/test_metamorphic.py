@@ -1,5 +1,5 @@
-"""Metamorphic properties of atoms and balls under random relabeling and
-under passing to the opposite group."""
+"""Metamorphic properties of atoms, balls and sets of lengths under random
+relabeling and under passing to the opposite group."""
 
 from __future__ import annotations
 
@@ -8,7 +8,7 @@ from collections import Counter
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from prodone.factorization import _atom_keys, product_one_vectors
+from prodone.factorization import _atom_keys, length_system, product_one_vectors
 from prodone.groups import cyclic, direct_product, parse_group_spec
 
 from brute_force import relabeled_copy
@@ -49,3 +49,15 @@ def test_relabeling_keeps_ball_counts_and_the_opposite_group_keeps_the_ball(spec
     assert Counter(ball.values()) == Counter(product_one_vectors(group, cap).values())
     # reversing an ordering of S reverses its product in G^op, and 1 reversed is 1
     assert product_one_vectors(twin.opposite(), cap) == ball
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.sampled_from(NON_ABELIAN), st.randoms(use_true_random=False),
+       st.integers(min_value=1, max_value=7))
+def test_relabeling_and_the_opposite_group_keep_the_length_system(spec, rng, bound):
+    # an isomorphism carries factorizations to factorizations, and so does
+    # reversal, which keeps product-one and atoms in the opposite group
+    group = parse_group_spec(spec)
+    system = length_system(group, bound)
+    assert length_system(relabeled_copy(group, rng), bound) == system
+    assert length_system(group.opposite(), bound) == system
