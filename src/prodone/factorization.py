@@ -162,8 +162,15 @@ def _level_ball(group: GroupTable, cap: int) -> dict:
     for any term g of T some product-one ordering of T ends with g, and
     T = S·g is product-one iff g^-1 is in pi(S): one bit test per child, no
     mask, no lookup. Only the two levels below the top are alive at once.
+
+    A product set stops growing once it fills a coset of the commutator
+    subgroup G'. Every ordering of T has the same image in the abelian G/G',
+    so pi(T) lies in one coset of G', of |G'| = n / |G/G'| elements. Thus
+    when pi(T - g)·g, a part of pi(T), already has |G'| elements it is all of
+    pi(T), and the other support elements are not read.
     """
     n = group.order
+    full = n // group.abelianization().order
     masks = group._mul_mask_tables()
     bits = tuple(1 << (_SHIFT * e) for e in range(n))
     inv_bits = tuple(1 << group.inv(e) for e in range(n))
@@ -181,8 +188,9 @@ def _level_ball(group: GroupTable, cap: int) -> dict:
                 for key in keys:
                     nk = key + bg
                     acc = mg[level[key]]
-                    for bh, mh in others:
-                        acc |= mh[level[nk - bh]]
+                    if acc.bit_count() != full:
+                        for bh, mh in others:
+                            acc |= mh[level[nk - bh]]
                     nxt[nk] = acc
                     children.append(nk)
                     if acc & 1:

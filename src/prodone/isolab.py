@@ -105,10 +105,35 @@ def _image_test(group: GroupTable, cap: int, budget):
     return test
 
 
-def _side(group: GroupTable, cap: int, budget) -> tuple:
-    """(decoded atoms by (length, packed key), ``_image_test``) of ``group`` to ``cap``."""
-    atoms = [(k, _items(k)) for k in _atom_keys(group, cap, budget)]
-    return atoms, _image_test(group, cap, budget)
+def _decoded_atoms(group: GroupTable, cap: int, budget):
+    """(packed key, items) of the identity-free atoms of ``group`` to ``cap``,
+    by (length, packed key), each decoded when it is read. The atoms are
+    looked up at the call, so a budget trip raises there."""
+    return ((k, _items(k)) for k in _atom_keys(group, cap, budget))
+
+
+def _join(subgroup: set, gens: list) -> set:
+    """The permutation group generated by ``gens``, given its ``subgroup``
+    generated by all of them but the last (Dimino's algorithm).
+
+    Permutations are image tuples, multiplied left to right:
+    (r·t)[x] = t[r[x]]. The result is a union of right cosets H·r of
+    H = ``subgroup``, starting from H itself. A product r·t of a coset
+    representative with a generator that lies outside the union so far
+    brings its whole coset as a new representative. The union is then closed
+    under right multiplication by every generator and holds the identity, so
+    it is the generated group, at one product per new element and one per
+    (representative, generator) pair.
+    """
+    out = set(subgroup)
+    reps = [tuple(range(len(gens[-1])))]
+    for r in reps:  # grows while it is read
+        for t in gens:
+            rt = tuple([t[i] for i in r])
+            if rt not in out:
+                reps.append(rt)
+                out.update(tuple([rt[i] for i in h]) for h in subgroup)
+    return out
 
 
 def _forward_failure(decoded1, images, test2):
@@ -152,16 +177,16 @@ def _check_preserving_at(m: GroupMap, cap: int, budget):
         return False, _identity_counterexample(m.source)
     if cap == 0:
         return True, None
-    atoms1, test1 = _side(m.source, cap, budget)
-    atoms2, test2 = _side(m.target, cap, budget)
     n = m.source.order
-    bad = _forward_failure(atoms1, m.images, test2)
+    bad = _forward_failure(_decoded_atoms(m.source, cap, budget), m.images,
+                           _image_test(m.target, cap, budget))
     if bad is not None:
         return False, Sequence(m.source, _unpack(bad, n))
     if m.source == m.target:
         return True, None
     inverse = m.inverse().images
-    bad = _forward_failure(atoms2, inverse, test1)
+    bad = _forward_failure(_decoded_atoms(m.target, cap, budget), inverse,
+                           _image_test(m.source, cap, budget))
     if bad is None:
         return True, None
     return False, Sequence(m.source, _unpack(_image_key(_items(bad), inverse), n))
@@ -223,6 +248,15 @@ def search_bijections(g1: GroupTable, g2: GroupTable, bound: int,
     bound >= 3. Surviving assignments get the full sequence check, which by
     Lemma B (see ``_forward_failure``) scans only the atoms of g1 forward and
     those of g2 backward. Results are sorted by image tuple.
+
+    On a self-pair (g1 == g2) the preserving bijections form a group: each
+    maps the finite ball onto itself, and so does a composition of two. So a
+    survivor in the group generated by the identity and the maps that
+    passed a scan is preserving without one, and a survivor outside it that
+    passes becomes a new generator. Each generator at least doubles the
+    generated group (Lagrange), so k preserving maps take at most
+    floor(log2 k) scans. The atoms and the image test of the group are
+    built once, at the first scan.
     """
     if bound < 1:
         raise ValueError(f"bound must be >= 1, got {bound}")
@@ -246,16 +280,31 @@ def search_bijections(g1: GroupTable, g2: GroupTable, bound: int,
             row.append(y)
         cands.append(row)
 
-    prep: list = []
+    same = g1 == g2
+    prep: list = []  # (atoms, image test) forward, then backward unless same
+    generators: list = []
+    generated = {tuple(range(n))}  # on a self-pair, the group of the generators
 
     def full_check(images) -> bool:
+        nonlocal generated
+        if same:
+            f = tuple(images)
+            if f in generated:
+                return True
         if not prep:
-            prep.extend(_side(g1, bound, budget) + _side(g2, bound, budget))
-        atoms1, test1, atoms2, test2 = prep
+            prep.append((list(_decoded_atoms(g1, bound, budget)),
+                         _image_test(g2, bound, budget)))
+            if not same:
+                prep.append((list(_decoded_atoms(g2, bound, budget)),
+                             _image_test(g1, bound, budget)))
+        atoms1, test2 = prep[0]
         if _forward_failure(atoms1, images, test2) is not None:
             return False
-        if g1 == g2:
+        if same:
+            generators.append(f)
+            generated = _join(generated, generators)
             return True
+        atoms2, test1 = prep[1]
         inverse = [0] * n
         for x, y in enumerate(images):
             inverse[y] = x

@@ -6,7 +6,8 @@ import itertools
 
 from prodone.factorization import (LengthSystem, _unpack, enumerate_atoms,
                                    product_one_vectors, set_of_lengths)
-from prodone.groups import GroupTable
+from prodone.groups import GroupMap, GroupTable
+from prodone.isolab import BasisBijection
 from prodone.sequences import Sequence
 
 
@@ -74,3 +75,63 @@ def length_system_by_factorizations(group, bound, budget=None):
         for pad in range(start, bound - ln + 1):
             collected.add(tuple(x + pad for x in base))
     return LengthSystem(bound, tuple(sorted(collected)))
+
+
+def search_bijections_by_full_check(g1, g2, bound, budget=None):
+    """The bijections g1 -> g2 preserving product-one up to ``bound``, each
+    identity-fixing candidate scanned in full: it must send every
+    identity-free atom of g1 to a vector of the product-one ball of g2, and
+    pull every one of g2 back into the ball of g1, both to ``bound``.
+
+    The candidates keep element orders up to the bound and, from bound 2,
+    send inverses to inverses; both are lossless, since (x^k) and (x, x^-1)
+    are product-one. Sorted by image tuple, as ``search_bijections`` returns
+    them.
+    """
+    n = g1.order
+    if n != g2.order:
+        return []
+    atoms, balls = [], []
+    for group in (g1, g2):
+        catalog = enumerate_atoms(group, bound, budget)
+        atoms.append([a.exponents for a in catalog.all_atoms() if not a.exponents[0]])
+        balls.append({_unpack(key, n) for key in product_one_vectors(group, bound, budget)})
+
+    def into(vectors, f, ball):
+        for vec in vectors:
+            image = [0] * n
+            for e, v in enumerate(vec):
+                image[f[e]] += v
+            if tuple(image) not in ball:
+                return False
+        return True
+
+    def capped(group, x):
+        k = group.element_order(x)
+        return k if k <= bound else 0
+
+    found = []
+    images = [0] * n
+    used = {0}
+
+    def extend(x):
+        if x == n:
+            inverse = [0] * n
+            for a, b in enumerate(images):
+                inverse[b] = a
+            if into(atoms[0], images, balls[1]) and into(atoms[1], inverse, balls[0]):
+                found.append(BasisBijection(GroupMap(g1, g2, tuple(images)), bound))
+            return
+        xi = g1.inv(x)
+        for y in range(1, n):
+            if y in used or capped(g1, x) != capped(g2, y):
+                continue
+            if bound >= 2 and xi <= x and (images[xi] if xi < x else y) != g2.inv(y):
+                continue
+            images[x] = y
+            used.add(y)
+            extend(x + 1)
+            used.discard(y)
+
+    extend(1)
+    return found

@@ -295,6 +295,26 @@ def test_level_ball_matches_naive_at_every_cap(spec):
         assert mine == {vec: ln for vec, ln in naive.items() if ln <= cap}
 
 
+@pytest.mark.parametrize("spec", ["D10", "D12", "Dic12", "A4", "S4", "relabeled D12"])
+def test_a_product_set_lies_in_one_coset_of_the_commutator_subgroup(spec):
+    # the lemma behind the level DP's early stop: pi(S) has at most |G'|
+    # elements, all with one image in G/G'
+    group = (relabeled_copy(dihedral(12), random.Random(14)) if spec == "relabeled D12"
+             else parse_group_spec(spec))
+    quotient, proj = group.abelianization_map()
+    size = group.order // quotient.order
+    assert size == len(group.commutator_subgroup()) > 1
+    rng = random.Random(f"coset {spec}")
+    filled = 0
+    for _ in range(300):
+        terms = [rng.randrange(group.order) for _ in range(rng.randint(1, 7))]
+        products = Sequence.from_elements(group, terms).product_set()
+        assert len(products) <= size
+        assert len({proj[p] for p in products}) == 1
+        filled += len(products) == size
+    assert filled  # the stop is reached, not only bounded
+
+
 @pytest.mark.parametrize("spec", ["D10", "Dic12"])
 def test_level_ball_at_a_cap_is_the_next_cap_cut_short(spec):
     group = parse_group_spec(spec)

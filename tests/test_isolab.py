@@ -22,7 +22,7 @@ from prodone.isolab import (SMALL_GROUP_SPECS, BasisBijection, check_assertions,
                             _check_preserving_at)
 from prodone.sequences import Sequence, apply_map
 
-from brute_force import least_failing_atom, relabeled_copy
+from brute_force import least_failing_atom, relabeled_copy, search_bijections_by_full_check
 
 
 def brute_automorphisms(group):
@@ -72,6 +72,66 @@ def test_low_bounds_relax_the_prunes():
     # bound 2 pins inverse pairs: g2 stays, {g, g3} permute
     assert len(search_bijections(c4, c4, 2)) == 2
     assert len(search_bijections(c4, c4, 4)) == 2
+
+
+def generated_group(gens, n):
+    """The permutation group generated by image tuples, closed by breadth-first products."""
+    out = {tuple(range(n))}
+    frontier = list(out)
+    while frontier:
+        fresh = []
+        for f in frontier:
+            for g in gens:
+                fg = tuple(g[i] for i in f)
+                if fg not in out:
+                    out.add(fg)
+                    fresh.append(fg)
+        frontier = fresh
+    return out
+
+
+# at bound 1 every identity-fixing bijection preserves, (n - 1)! of them,
+# which at order 10 costs seconds per search; bound 1 stops at order 9
+SMALL_SPECS = [spec for spec in SMALL_GROUP_SPECS if parse_group_spec(spec).order <= 10]
+
+
+def bounds_to_check(group):
+    return [b for b in (1, 2, 3) if b > 1 or group.order <= 9] + [large_davenport(group)]
+
+
+@pytest.mark.parametrize("spec", SMALL_SPECS)
+def test_self_pair_search_scans_only_generators(spec, monkeypatch):
+    group = parse_group_spec(spec)
+    for bound in bounds_to_check(group):
+        scanned = []
+        scan = isolab._forward_failure
+
+        def recording(decoded1, images, test2):
+            bad = scan(decoded1, images, test2)
+            scanned.append(tuple(images))
+            assert bad is None  # no survivor of the prunes fails the scan
+            return bad
+
+        monkeypatch.setattr(isolab, "_forward_failure", recording)
+        found = [b.map.images for b in search_bijections(group, group, bound)]
+        monkeypatch.undo()
+        assert found == [b.map.images
+                         for b in search_bijections_by_full_check(group, group, bound)]
+        assert generated_group(scanned, group.order) == set(found)
+        assert len(scanned) <= len(found).bit_length() - 1  # floor(log2 k)
+
+
+# every relabeling of C2, C3 and C2xC2 is an automorphism, so it keeps the table
+@pytest.mark.parametrize("spec", [s for s in SMALL_SPECS if s not in ("C2", "C3", "C2xC2")])
+def test_search_on_a_relabeled_copy_checks_every_survivor(spec):
+    group = parse_group_spec(spec)
+    rng = random.Random(f"twin {spec}")
+    twin = relabeled_copy(group, rng)
+    while twin == group:
+        twin = relabeled_copy(group, rng)
+    for bound in bounds_to_check(group):
+        assert ([b.map.images for b in search_bijections(group, twin, bound)]
+                == [b.map.images for b in search_bijections_by_full_check(group, twin, bound)])
 
 
 def test_verify_preserving_identity_and_inversion():
