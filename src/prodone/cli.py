@@ -66,12 +66,10 @@ def _catalog_for(group: GroupTable, needed: int, cache_dir: str,
     """Load a cached exhaustive catalog when it covers the request, else
     compute and store the larger one."""
     path = os.path.join(cache_dir, f"{group.table_hash()}.atoms")
-    stored = None
-    if os.path.exists(path):
-        try:
-            stored = AtomCatalog.load(path, group)
-        except (ParseError, CatalogError):
-            stored = None
+    try:
+        stored = AtomCatalog.load(path, group)
+    except (OSError, ParseError, CatalogError):  # absent, unreadable, corrupt or stale
+        stored = None
     if stored is not None and stored.exhaustive and stored.max_length >= needed:
         return stored.restrict(needed) if stored.max_length > needed else stored
     catalog = enumerate_atoms(group, needed, budget)

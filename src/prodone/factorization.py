@@ -80,32 +80,6 @@ def _items(key: int) -> tuple:
 # -- exhaustive product-one enumeration -------------------------------------------
 
 
-def _abelian_ball(group: GroupTable, cap: int) -> dict:
-    """Closing-term DFS over non-decreasing identity-free multisets.
-
-    S'·c is product-one exactly when c is the inverse of the sum of S'; the
-    multiset is reached once, from S' = itself minus one copy of its largest
-    term, when c >= max(S').
-    """
-    n = group.order
-    tab = group.table
-    inv = tuple(group.inv(x) for x in range(n))
-    bits = tuple(1 << (_SHIFT * e) for e in range(n))
-    out: dict[int, int] = {}
-
-    def walk(top, key, ln, acc):
-        c = inv[acc]
-        if c >= top:
-            out[key + bits[c]] = ln + 1
-        if ln + 1 < cap:
-            row = tab[acc]
-            for g in range(top, n):
-                walk(g, key + bits[g], ln + 1, row[g])
-
-    walk(1, 0, 0, 0)  # top 1 keeps the identity out of the empty multiset's closure
-    return out
-
-
 def _abelian_atoms(group: GroupTable, cap: int) -> dict:
     """Identity-free atoms of an abelian group to ``cap``, by (length, packed key).
 
@@ -167,9 +141,15 @@ def _level_ball(group: GroupTable, cap: int) -> dict:
     subgroup G'. Every ordering of T has the same image in the abelian G/G',
     so pi(T) lies in one coset of G', of |G'| = n / |G/G'| elements. Thus
     when pi(T - g)·g, a part of pi(T), already has |G'| elements it is all of
-    pi(T), and the other support elements are not read.
+    pi(T), and the other support elements are not read. Over an abelian
+    group G' is trivial, so every key reads one memo.
+
+    C1 has no identity-free multisets and cap 0 allows none, so both answer
+    at once, whatever the cap.
     """
     n = group.order
+    if cap == 0 or n == 1:
+        return {}
     full = n // group.abelianization().order
     masks = group._mul_mask_tables()
     bits = tuple(1 << (_SHIFT * e) for e in range(n))
@@ -205,20 +185,13 @@ def _level_ball(group: GroupTable, cap: int) -> dict:
     return out
 
 
-def _enumerate_po(group: GroupTable, cap: int) -> dict:
-    """All identity-free product-one packed vectors of length <= cap."""
-    if cap == 0 or group.order == 1:
-        return {}
-    return (_abelian_ball if group.is_abelian else _level_ball)(group, cap)
-
-
 class _Ball:
     """The exact product-one ball of a group to ``cap`` and its atoms, each
     computed on first read. An abelian group's atoms do not read the ball.
 
-    Both engines give the atoms by (length, packed key), whatever order the
-    ball or the walk found them in, so a scan of the atoms, and the
-    counterexample it reports, does not depend on the engine.
+    Both atom sources give the atoms by (length, packed key), whatever order
+    the ball or the walk found them in, so a scan of the atoms, and the
+    counterexample it reports, does not depend on the source.
     """
 
     def __init__(self, group: GroupTable, cap: int):
@@ -229,7 +202,7 @@ class _Ball:
     @property
     def vectors(self) -> dict:
         if self._vectors is None:
-            self._vectors = _enumerate_po(self.group, self.cap)
+            self._vectors = _level_ball(self.group, self.cap)
         return self._vectors
 
     def atoms(self) -> dict:
@@ -434,8 +407,16 @@ class AtomCatalog:
 
     @classmethod
     def load(cls, path, group: GroupTable) -> "AtomCatalog":
-        with open(os.fspath(path), "r", encoding="ascii") as fh:
-            lines = [ln.strip() for ln in fh if ln.strip()]
+        """Read a catalog written by ``save``.
+
+        Raises ``ParseError`` for a file that is not one, whatever is wrong
+        with it, and ``CatalogError`` for one built for another group.
+        """
+        try:
+            with open(os.fspath(path), "r", encoding="ascii") as fh:
+                lines = [ln.strip() for ln in fh if ln.strip()]
+        except UnicodeDecodeError:
+            raise ParseError(f"catalog is not ASCII text: {path}") from None
         if not lines or lines[0] != cls.FORMAT_HEADER:
             raise ParseError(f"not a prodone atom catalog: {path}")
         fields = {}
@@ -443,7 +424,7 @@ class AtomCatalog:
         for ln in lines[1:]:
             tokens = ln.split()
             if tokens[0] == "atom":
-                body.append(tokens)
+                body.append(tokens[1:])
             elif len(tokens) == 2:
                 fields[tokens[0]] = tokens[1]
             else:
@@ -453,21 +434,31 @@ class AtomCatalog:
                 raise ParseError(f"catalog missing field {need!r}")
         if fields["group"] != group.table_hash():
             raise CatalogError("catalog was built for a different group table")
-        if int(fields["order"]) != group.order:
-            raise CatalogError(f"catalog order {fields['order']} != group order {group.order}")
+        try:
+            order, max_length, exhaustive = (
+                int(fields[k]) for k in ("order", "max_length", "exhaustive"))
+            records = [[int(v) for v in tokens] for tokens in body]
+        except ValueError:
+            raise ParseError(f"non-integer field in catalog {path}") from None
+        if order != group.order:
+            raise CatalogError(f"catalog order {order} != group order {group.order}")
+        if exhaustive not in (0, 1):
+            raise ParseError(f"catalog exhaustive flag {exhaustive} is not 0 or 1")
         atoms_by_length: dict[int, list] = {}
-        for tokens in body:
-            ln = int(tokens[1])
-            vec = [int(v) for v in tokens[2:]]
-            if len(vec) != group.order:
-                raise ParseError(f"atom record has {len(vec)} exponents, expected {group.order}")
+        for record in records:
+            if len(record) != group.order + 1:
+                raise ParseError(f"atom record has {len(record)} fields, "
+                                 f"expected a length and {group.order} exponents")
+            ln, vec = record[0], record[1:]
+            if min(vec) < 0:
+                raise ParseError(f"atom record has a negative multiplicity: {vec}")
             seq = Sequence(group, vec)
             if seq.length != ln:
                 raise ParseError(f"atom record length {ln} does not match its vector")
             atoms_by_length.setdefault(ln, []).append(seq)
         final = {ln: tuple(sorted(atoms, key=lambda s: s.exponents))
                  for ln, atoms in atoms_by_length.items()}
-        return cls(group, int(fields["max_length"]), bool(int(fields["exhaustive"])), final)
+        return cls(group, max_length, bool(exhaustive), final)
 
 
 def _catalog_from_keys(group: GroupTable, keys: dict, max_length: int,

@@ -606,9 +606,7 @@ def parse_group_spec(spec: str) -> GroupTable:
             raise ParseError(f"invalid group spec token {token!r}: {exc}")
     out = factors[0]
     for g in factors[1:]:
-        out = direct_product(out, g)
-    if len(factors) > 1:
-        out = GroupTable(out.table, names=out.names, label=spec)
+        out = direct_product(out, g, label=spec)
     return out
 
 

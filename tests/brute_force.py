@@ -135,3 +135,25 @@ def search_bijections_by_full_check(g1, g2, bound, budget=None):
 
     extend(1)
     return found
+
+
+def small_davenport(group):
+    """d(G), the largest length of a product-one free sequence over ``group``.
+
+    A walk over the non-decreasing identity-free multisets that keeps only
+    the product-one free ones: S·g is product-one free iff S is and T·g is
+    product-one for no sub-multiset T of S, decided by ``Sequence.product_set``.
+    The empty sequence is product-one free, so d(C1) = 0.
+    """
+    best = 0
+
+    def walk(seq, top):
+        nonlocal best
+        best = max(best, seq.length)
+        for g in range(top, group.order):
+            single = Sequence.from_elements(group, [g])
+            if all(0 not in part.concat(single).product_set() for part in sub_multisets(seq)):
+                walk(seq.concat(single), g)
+
+    walk(Sequence.empty(group), 1)
+    return best

@@ -9,7 +9,9 @@ import pytest
 
 from prodone import cli
 from prodone.cli import main
-from prodone.groups import GroupTable, dihedral
+from prodone.errors import ParseError
+from prodone.factorization import AtomCatalog
+from prodone.groups import GroupTable, dihedral, symmetric
 
 
 def run(capsys, *argv):
@@ -259,6 +261,45 @@ def test_cache_file_reused_and_survives_corruption(capsys, tmp_path):
     code, out, _ = run(capsys, *args)
     assert code == 0 and out.strip() == "6"
     assert cached[0].read_text(encoding="ascii") == first
+
+
+CORRUPT_CATALOGS = {
+    "atom record without fields": lambda text: text.replace("atom 2 ", "atom\natom 2 ", 1),
+    "non-integer exponent": lambda text: text.replace("atom 1 1 ", "atom 1 one ", 1),
+    "non-integer header field": lambda text: text.replace("max_length 6", "max_length six"),
+    "exhaustive flag out of range": lambda text: text.replace("exhaustive 1", "exhaustive 7"),
+    "negative multiplicity": lambda text: text.replace("atom 1 1 0 ", "atom 1 2 -1 ", 1),
+    "non-ASCII byte": lambda text: text.replace("atom 2 ", "atom 2 é", 1),
+}
+
+
+@pytest.mark.parametrize("corrupt", list(CORRUPT_CATALOGS.values()),
+                         ids=list(CORRUPT_CATALOGS))
+def test_corrupt_cache_file_is_ignored_and_rewritten(capsys, tmp_path, corrupt):
+    args = ("atoms", "S3", "--cache-dir", str(tmp_path))
+    code, cold, _ = run(capsys, *args)
+    assert code == 0
+    [path] = tmp_path.glob("*.atoms")
+    text = path.read_text(encoding="ascii")
+    broken = corrupt(text)
+    assert broken != text
+    path.write_bytes(broken.encode("utf-8"))
+    with pytest.raises(ParseError):
+        AtomCatalog.load(path, symmetric(3))
+    assert run(capsys, *args)[:2] == (0, cold)
+    assert path.read_text(encoding="ascii") == text
+    AtomCatalog.load(path, symmetric(3))
+
+
+def test_unreadable_cache_path_is_treated_as_absent(capsys, tmp_path):
+    args = ("atoms", "S3", "--cache-dir", str(tmp_path))
+    cold = run(capsys, *args)[1]
+    [path] = tmp_path.glob("*.atoms")
+    path.unlink()
+    path.mkdir()  # open() fails with an OSError, and so does the rewrite
+    code, out, err = run(capsys, *args)
+    assert (code, out) == (0, cold)
+    assert "could not write catalog cache" in err
 
 
 def test_cache_dir_from_environment(capsys, tmp_path, monkeypatch):

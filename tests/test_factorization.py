@@ -11,7 +11,7 @@ import pytest
 
 from prodone.errors import BudgetExceededError, CatalogError, ParseError
 from prodone.factorization import (DEFAULT_SEARCH_BUDGET, AtomCatalog, _abelian_atoms,
-                                   _abelian_ball, _atom_keys, _ball_atoms, _level_ball,
+                                   _atom_keys, _ball_atoms, _level_ball,
                                    _unpack, enumerate_atoms,
                                    factorizations, fingerprint, is_atom,
                                    large_davenport, length_system,
@@ -21,7 +21,8 @@ from prodone.groups import (GroupTable, cyclic, dihedral, direct_product, parse_
 from prodone.isolab import SMALL_GROUP_SPECS
 from prodone.sequences import Sequence, parse_sequence
 
-from brute_force import length_system_by_factorizations, relabeled_copy, sub_multisets
+from brute_force import (length_system_by_factorizations, relabeled_copy, small_davenport,
+                         sub_multisets)
 
 
 def all_multisets(group, max_len, skip_identity=False):
@@ -163,6 +164,30 @@ def test_davenport_of_the_rank_two_catalog_additions_is_olsons(spec, m, n):
     assert large_davenport(parse_group_spec(spec)) == m + n - 1
 
 
+@pytest.mark.parametrize("spec, d", [("S3", 3), ("D8", 4), ("Q8", 4), ("D10", 5),
+                                     ("D12", 6), ("Dic12", 6)])
+def test_davenport_of_a_group_with_a_cyclic_index_two_subgroup_is_d_plus_commutator(spec, d):
+    # Geroldinger-Grynkiewicz (2013): D(G) = d(G) + |G'| when G has a cyclic
+    # subgroup of index 2; d(G) comes from a walk that never reads the ball
+    group = parse_group_spec(spec)
+    assert small_davenport(group) == d
+    assert large_davenport(group) == d + len(group.commutator_subgroup())
+
+
+@pytest.mark.parametrize("spec", [spec for spec in SMALL_GROUP_SPECS
+                                  if parse_group_spec(spec).is_abelian])
+def test_davenport_of_an_abelian_group_is_d_plus_one(spec):
+    group = parse_group_spec(spec)
+    assert large_davenport(group) == small_davenport(group) + 1
+
+
+def test_davenport_of_a4_is_below_d_plus_commutator():
+    # A4 has no cyclic subgroup of index 2, and the closed form misses by one
+    a4 = parse_group_spec("A4")
+    assert small_davenport(a4) == 4 and len(a4.commutator_subgroup()) == 4
+    assert large_davenport(a4) == 7
+
+
 def test_factorizations_examples():
     c2 = cyclic(2)
     catalog = enumerate_atoms(c2, 6)
@@ -272,9 +297,8 @@ def naive_ball(group, max_len):
 
 
 def test_product_one_vectors_counts_match_naive():
-    # element-id order drives both the append-a-larger-element rule of the
-    # level DP and the closing-term rule of the abelian DFS, so a relabeled
-    # copy runs both on a different order
+    # element-id order drives the append-a-larger-element rule of the level
+    # DP, so a relabeled copy runs it on a different order
     groups = [symmetric(3), cyclic(6), dihedral(8), parse_group_spec("Q8"),
               parse_group_spec("C3xC3"), relabeled_copy(dihedral(8), random.Random(9))]
     for group in groups:
@@ -283,12 +307,13 @@ def test_product_one_vectors_counts_match_naive():
         assert mine == naive_ball(group, 5)
 
 
-@pytest.mark.parametrize("spec", ["S3", "D8", "Q8", "relabeled D8"])
+@pytest.mark.parametrize("spec", ["S3", "D8", "Q8", "relabeled D8", "C6", "C3xC3",
+                                  "C2xC2xC2", "relabeled C4xC2"])
 def test_level_ball_matches_naive_at_every_cap(spec):
     # the top length of each cap is settled by the rotation bit test, so
     # every length from 1 to 6 goes through that branch once
-    group = (relabeled_copy(dihedral(8), random.Random(12)) if spec == "relabeled D8"
-             else parse_group_spec(spec))
+    group = (relabeled_copy(parse_group_spec(spec.split()[1]), random.Random(12))
+             if spec.startswith("relabeled") else parse_group_spec(spec))
     naive = naive_ball(group, 6)
     for cap in range(1, 7):
         mine = {_unpack(key, group.order): ln for key, ln in _level_ball(group, cap).items()}
@@ -315,7 +340,7 @@ def test_a_product_set_lies_in_one_coset_of_the_commutator_subgroup(spec):
     assert filled  # the stop is reached, not only bounded
 
 
-@pytest.mark.parametrize("spec", ["D10", "Dic12"])
+@pytest.mark.parametrize("spec", ["D10", "Dic12", "C10"])
 def test_level_ball_at_a_cap_is_the_next_cap_cut_short(spec):
     group = parse_group_spec(spec)
     balls = {cap: _level_ball(group, cap) for cap in range(1, 10)}
@@ -406,7 +431,7 @@ def test_abelian_atoms_match_the_lookup_atoms_and_is_atom(spec, relabeled):
     if relabeled:
         group = relabeled_copy(group, random.Random(group.order))
     top = group.order if group.order <= 12 else 8
-    lookup = _ball_atoms(_abelian_ball(group, top))
+    lookup = _ball_atoms(_level_ball(group, top))
     for cap in range(top + 1):
         atoms = _abelian_atoms(group, cap)
         assert atoms == {k: ln for k, ln in lookup.items() if ln <= cap}
@@ -414,7 +439,7 @@ def test_abelian_atoms_match_the_lookup_atoms_and_is_atom(spec, relabeled):
     # the walk's atoms pass the per-sequence split search, and at a small cap
     # nothing else in the ball does
     assert all(is_atom(Sequence(group, _unpack(k, group.order))) for k in atoms)
-    assert _abelian_atoms(group, 5) == is_atom_filter(group, _abelian_ball(group, 5))
+    assert _abelian_atoms(group, 5) == is_atom_filter(group, _level_ball(group, 5))
 
 
 def test_ball_atoms_of_the_partial_ball_of_a_budget_trip():

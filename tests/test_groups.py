@@ -8,6 +8,7 @@ import random
 
 import pytest
 
+from prodone import groups
 from prodone.errors import GroupTableError, ParseError
 from prodone.groups import (GroupMap, GroupTable, abelian_invariants,
                             abelian_structure_label, alternating, cyclic,
@@ -259,6 +260,21 @@ def test_parse_group_spec_families():
         assert g.order == order
         assert g.label == spec
     assert parse_group_spec("A5").order == 60
+
+
+def test_parse_group_spec_validates_each_table_once(monkeypatch):
+    # three factors and two products: five tables, each checked once
+    calls = []
+    validate = groups._validate_associative
+
+    def counted(rows):
+        calls.append(len(rows))
+        return validate(rows)
+
+    monkeypatch.setattr(groups, "_validate_associative", counted)
+    g = parse_group_spec("C2xC2xC2")
+    assert calls == [2, 2, 2, 4, 8]
+    assert g.label == "C2xC2xC2" and g.name_of(7) == "g.g.g"
 
 
 def test_parse_group_spec_rejections():

@@ -174,13 +174,13 @@ def test_verify_preserving_budget_staging(monkeypatch):
     g = relabeled_copy(dihedral(8), rng)
     b = BasisBijection(GroupMap.identity(g))
     caps = []
-    enumerate_po = factorization._enumerate_po
+    level_ball = factorization._level_ball
 
     def counted(group, cap):
         caps.append(cap)
-        return enumerate_po(group, cap)
+        return level_ball(group, cap)
 
-    monkeypatch.setattr(factorization, "_enumerate_po", counted)
+    monkeypatch.setattr(factorization, "_level_ball", counted)
     # D8 has 791 identity-free multisets to length 5 and 1715 to length 6
     with pytest.raises(BudgetExceededError):
         verify_preserving(b, 6, budget=1000)
@@ -313,10 +313,10 @@ def test_counterexample_is_the_least_failing_atom(spec1, spec2, cap, keep_pairs)
 
 @pytest.mark.parametrize("spec, automorphisms", [("C12", 4), ("C4xC2", 8)])
 def test_abelian_pairs_build_no_ball(spec, automorphisms, monkeypatch):
-    def enumerate_po(group, cap):
+    def level_ball(group, cap):
         raise AssertionError(f"ball of {group.label} built to {cap}")
 
-    monkeypatch.setattr(factorization, "_enumerate_po", enumerate_po)
+    monkeypatch.setattr(factorization, "_level_ball", level_ball)
     rng = random.Random(automorphisms)
     # relabeled copies miss the per-group ball cache
     g1 = relabeled_copy(parse_group_spec(spec), rng)
