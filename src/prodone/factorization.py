@@ -19,6 +19,7 @@ zero-sum-free sequences, and the ball is never built for them.
 
 from __future__ import annotations
 
+import hashlib
 import os
 import tempfile
 import threading
@@ -381,16 +382,22 @@ class AtomCatalog:
     FORMAT_HEADER = "prodone-atoms 1"
 
     def save(self, path) -> None:
-        """Write the catalog as stable text; atomic via temp-file rename."""
+        """Write the catalog as stable text; atomic via temp-file rename.
+
+        The ``digest`` field is the sha256 of the atom lines, so that a file
+        that lost, gained or reordered lines fails to load.
+        """
+        atom_lines = []
+        for ln in sorted(self.atoms_by_length):
+            for atom in self.atoms_by_length[ln]:
+                vec = " ".join(str(v) for v in atom.exponents)
+                atom_lines.append(f"atom {ln} {vec}")
         lines = [self.FORMAT_HEADER,
                  f"group {self.group.table_hash()}",
                  f"order {self.group.order}",
                  f"max_length {self.max_length}",
-                 f"exhaustive {int(self.exhaustive)}"]
-        for ln in sorted(self.atoms_by_length):
-            for atom in self.atoms_by_length[ln]:
-                vec = " ".join(str(v) for v in atom.exponents)
-                lines.append(f"atom {ln} {vec}")
+                 f"exhaustive {int(self.exhaustive)}",
+                 f"digest {_lines_digest(atom_lines)}"] + atom_lines
         text = "\n".join(lines) + "\n"
         path = os.fspath(path)
         directory = os.path.dirname(path) or "."
@@ -420,18 +427,21 @@ class AtomCatalog:
         if not lines or lines[0] != cls.FORMAT_HEADER:
             raise ParseError(f"not a prodone atom catalog: {path}")
         fields = {}
-        body = []
+        atom_lines, body = [], []
         for ln in lines[1:]:
             tokens = ln.split()
             if tokens[0] == "atom":
+                atom_lines.append(ln)
                 body.append(tokens[1:])
             elif len(tokens) == 2:
                 fields[tokens[0]] = tokens[1]
             else:
                 raise ParseError(f"bad catalog line {ln!r}")
-        for need in ("group", "order", "max_length", "exhaustive"):
+        for need in ("group", "order", "max_length", "exhaustive", "digest"):
             if need not in fields:
                 raise ParseError(f"catalog missing field {need!r}")
+        if fields["digest"] != _lines_digest(atom_lines):
+            raise ParseError(f"catalog atom lines do not match their digest: {path}")
         if fields["group"] != group.table_hash():
             raise CatalogError("catalog was built for a different group table")
         try:
@@ -459,6 +469,10 @@ class AtomCatalog:
         final = {ln: tuple(sorted(atoms, key=lambda s: s.exponents))
                  for ln, atoms in atoms_by_length.items()}
         return cls(group, max_length, bool(exhaustive), final)
+
+
+def _lines_digest(lines) -> str:
+    return hashlib.sha256("\n".join(lines).encode("ascii")).hexdigest()
 
 
 def _catalog_from_keys(group: GroupTable, keys: dict, max_length: int,

@@ -112,30 +112,6 @@ def _decoded_atoms(group: GroupTable, cap: int, budget):
     return ((k, _items(k)) for k in _atom_keys(group, cap, budget))
 
 
-def _join(subgroup: set, gens: list) -> set:
-    """The permutation group generated by ``gens``, given its ``subgroup``
-    generated by all of them but the last (Dimino's algorithm).
-
-    Permutations are image tuples, multiplied left to right:
-    (r·t)[x] = t[r[x]]. The result is a union of right cosets H·r of
-    H = ``subgroup``, starting from H itself. A product r·t of a coset
-    representative with a generator that lies outside the union so far
-    brings its whole coset as a new representative. The union is then closed
-    under right multiplication by every generator and holds the identity, so
-    it is the generated group, at one product per new element and one per
-    (representative, generator) pair.
-    """
-    out = set(subgroup)
-    reps = [tuple(range(len(gens[-1])))]
-    for r in reps:  # grows while it is read
-        for t in gens:
-            rt = tuple([t[i] for i in r])
-            if rt not in out:
-                reps.append(rt)
-                out.update(tuple([rt[i] for i in h]) for h in subgroup)
-    return out
-
-
 def _forward_failure(decoded1, images, test2):
     """First vector of ``decoded1`` whose image is not product-one, if any.
 
@@ -241,22 +217,39 @@ def search_bijections(g1: GroupTable, g2: GroupTable, bound: int,
                       budget: int | None = None) -> list:
     """All bijections g1 -> g2 preserving product-one up to ``bound``.
 
-    Backtracking over images in increasing element order. Prunes are applied
-    only where the bound makes them lossless: identity to identity always,
-    element orders capped at the bound, inverse compatibility from length-2
-    sequences once bound >= 2, and length-3 product-one agreement once
-    bound >= 3. Surviving assignments get the full sequence check, which by
-    Lemma B (see ``_forward_failure``) scans only the atoms of g1 forward and
-    those of g2 backward. Results are sorted by image tuple.
+    Backtracking over images in increasing element order, with the identity
+    fixed. Results are sorted by image tuple, each with ``verified_bound``
+    set to ``bound``. Only identity-free multisets matter, since 1 maps to 1
+    and padding with it changes no product.
 
-    On a self-pair (g1 == g2) the preserving bijections form a group: each
-    maps the finite ball onto itself, and so does a composition of two. So a
-    survivor in the group generated by the identity and the maps that
-    passed a scan is preserving without one, and a survivor outside it that
-    passes becomes a new generator. Each generator at least doubles the
-    generated group (Lagrange), so k preserving maps take at most
-    floor(log2 k) scans. The atoms and the image test of the group are
-    built once, at the first scan.
+    The prunes are exact up to length 3, so at bound <= 3 every survivor is
+    accepted as it stands:
+
+    - Orders: (x^i) is product-one iff ord(x) divides i. So a map that
+      preserves these sequences for every i <= bound keeps ord(x) whenever
+      it or ord(f(x)) is at most the bound, and the prune asks no more.
+    - Length 1: no identity-free (x) is product-one, so bound 1 constrains
+      nothing.
+    - Length 2: (x, y) is product-one iff y = x^-1, so from bound 2 the
+      inverse-pair rule f(x^-1) = f(x)^-1 is exactly preservation.
+    - Length 3: {a, b, c} is product-one iff one of its two cyclic classes
+      of orderings is (see ``_po3``). From bound 3, {x, x, x} agrees both
+      ways through the order-3 census. Placing x, the greatest element so
+      far, tests {x, x, a} and {x, a, c} for every a <= c < x, the identity
+      included. So every triple is compared once its greatest element has
+      an image, and agreement on all triples is preservation both ways.
+
+    Above bound 3 a survivor is accepted when it is a homomorphism or an
+    anti-homomorphism (A7). A homomorphism f sends an ordering with product
+    1 to one with product f(1) = 1, and its inverse is one too. An
+    anti-homomorphism does the same for the reversed ordering. Either
+    preserves product-one at every length, both ways. Any other survivor is
+    accepted only after the atom check of ``_check_preserving_at`` (Lemma B,
+    see ``_forward_failure``). None is known to reach it: length 3 makes f
+    a half-homomorphism, f(xy) in {f(x)f(y), f(y)f(x)}, and W. R. Scott,
+    "Half-homomorphisms of groups", Proc. AMS 8 (1957), shows that such a
+    map is a homomorphism or an anti-homomorphism. The verdict rests on the
+    check it runs, not on that theorem.
     """
     if bound < 1:
         raise ValueError(f"bound must be >= 1, got {bound}")
@@ -279,36 +272,6 @@ def search_bijections(g1: GroupTable, g2: GroupTable, bound: int,
                     continue
             row.append(y)
         cands.append(row)
-
-    same = g1 == g2
-    prep: list = []  # (atoms, image test) forward, then backward unless same
-    generators: list = []
-    generated = {tuple(range(n))}  # on a self-pair, the group of the generators
-
-    def full_check(images) -> bool:
-        nonlocal generated
-        if same:
-            f = tuple(images)
-            if f in generated:
-                return True
-        if not prep:
-            prep.append((list(_decoded_atoms(g1, bound, budget)),
-                         _image_test(g2, bound, budget)))
-            if not same:
-                prep.append((list(_decoded_atoms(g2, bound, budget)),
-                             _image_test(g1, bound, budget)))
-        atoms1, test2 = prep[0]
-        if _forward_failure(atoms1, images, test2) is not None:
-            return False
-        if same:
-            generators.append(f)
-            generated = _join(generated, generators)
-            return True
-        atoms2, test1 = prep[1]
-        inverse = [0] * n
-        for x, y in enumerate(images):
-            inverse[y] = x
-        return _forward_failure(atoms2, inverse, test1) is None
 
     images = [-1] * n
     used = [False] * n
@@ -339,8 +302,10 @@ def search_bijections(g1: GroupTable, g2: GroupTable, bound: int,
 
     def extend(x):
         if x == n:
-            if full_check(images):
-                results.append(BasisBijection(GroupMap(g1, g2, tuple(images)), bound))
+            m = GroupMap(g1, g2, tuple(images))
+            if (bound <= 3 or m.is_homomorphism() or m.is_anti_homomorphism()
+                    or _check_preserving_at(m, bound, budget)[0]):
+                results.append(BasisBijection(m, bound))
             return
         for y in cands[x]:
             if used[y] or not admissible(x, y):

@@ -6,7 +6,7 @@ import itertools
 
 from prodone.factorization import (LengthSystem, _unpack, enumerate_atoms,
                                    product_one_vectors, set_of_lengths)
-from prodone.groups import GroupMap, GroupTable
+from prodone.groups import GroupMap, GroupTable, find_group_isomorphisms
 from prodone.isolab import BasisBijection
 from prodone.sequences import Sequence
 
@@ -75,6 +75,15 @@ def length_system_by_factorizations(group, bound, budget=None):
         for pad in range(start, bound - ln + 1):
             collected.add(tuple(x + pad for x in base))
     return LengthSystem(bound, tuple(sorted(collected)))
+
+
+def automorphisms_and_twists(group):
+    """Iso(G, G) together with each automorphism f twisted by inversion,
+    x -> f(x^-1), as image tuples; the isomorphisms come from
+    ``find_group_isomorphisms``."""
+    inv = [group.inv(x) for x in range(group.order)]
+    auts = [m.images for m in find_group_isomorphisms(group, group)]
+    return set(auts) | {tuple(f[i] for i in inv) for f in auts}
 
 
 def search_bijections_by_full_check(g1, g2, bound, budget=None):

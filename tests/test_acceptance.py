@@ -18,6 +18,8 @@ from prodone.groups import cyclic, find_group_isomorphisms, parse_group_spec
 from prodone.isolab import SMALL_GROUP_SPECS, small_group_catalog, verify_theorem
 from prodone.sequences import Sequence
 
+from brute_force import automorphisms_and_twists
+
 
 def report(num: int, ok: bool, detail: str) -> None:
     line = f"[{'PASS' if ok else 'FAIL'}] criterion {num}: {detail}"
@@ -222,6 +224,13 @@ def test_criterion_5_every_bijection_classifies(catalog_verdicts):
     report(5, total > 0,
            f"all {total} bijections pass the seven assertions and classify "
            f"as isomorphism or anti-isomorphism")
+
+
+def test_self_pair_verdicts_are_the_automorphisms_and_their_twists(catalog_verdicts):
+    verdicts, _ = catalog_verdicts
+    for spec, group in zip(SMALL_GROUP_SPECS, small_group_catalog()):
+        found = {b.map.images for b in verdicts[(spec, spec)].bijections}
+        assert found == automorphisms_and_twists(group), spec
 
 
 def test_criterion_6_theorem_sees_past_the_abelianization(catalog_verdicts):

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import random
+import re
 
 import pytest
 
@@ -270,6 +271,11 @@ CORRUPT_CATALOGS = {
     "exhaustive flag out of range": lambda text: text.replace("exhaustive 1", "exhaustive 7"),
     "negative multiplicity": lambda text: text.replace("atom 1 1 0 ", "atom 1 2 -1 ", 1),
     "non-ASCII byte": lambda text: text.replace("atom 2 ", "atom 2 é", 1),
+    "deleted atom line": lambda text: re.sub(r"^atom 6 .*\n", "", text, count=1, flags=re.M),
+    "duplicated atom line": lambda text: re.sub(r"^(atom 6 .*\n)", r"\1\1", text, count=1,
+                                                flags=re.M),
+    "swapped atom lines": lambda text: re.sub(r"^(atom 6 .*\n)(atom 6 .*\n)", r"\2\1", text,
+                                              count=1, flags=re.M),
 }
 
 

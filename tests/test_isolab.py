@@ -22,7 +22,8 @@ from prodone.isolab import (SMALL_GROUP_SPECS, BasisBijection, check_assertions,
                             _check_preserving_at)
 from prodone.sequences import Sequence, apply_map
 
-from brute_force import least_failing_atom, relabeled_copy, search_bijections_by_full_check
+from brute_force import (automorphisms_and_twists, least_failing_atom, relabeled_copy,
+                         search_bijections_by_full_check)
 
 
 def brute_automorphisms(group):
@@ -74,22 +75,6 @@ def test_low_bounds_relax_the_prunes():
     assert len(search_bijections(c4, c4, 4)) == 2
 
 
-def generated_group(gens, n):
-    """The permutation group generated by image tuples, closed by breadth-first products."""
-    out = {tuple(range(n))}
-    frontier = list(out)
-    while frontier:
-        fresh = []
-        for f in frontier:
-            for g in gens:
-                fg = tuple(g[i] for i in f)
-                if fg not in out:
-                    out.add(fg)
-                    fresh.append(fg)
-        frontier = fresh
-    return out
-
-
 # at bound 1 every identity-fixing bijection preserves, (n - 1)! of them,
 # which at order 10 costs seconds per search; bound 1 stops at order 9
 SMALL_SPECS = [spec for spec in SMALL_GROUP_SPECS if parse_group_spec(spec).order <= 10]
@@ -100,25 +85,51 @@ def bounds_to_check(group):
 
 
 @pytest.mark.parametrize("spec", SMALL_SPECS)
-def test_self_pair_search_scans_only_generators(spec, monkeypatch):
+def test_self_pair_search_scans_only_what_a7_cannot_certify(spec, monkeypatch):
     group = parse_group_spec(spec)
+    scanned = []
+    scan = isolab._forward_failure
+
+    def recording(decoded1, images, test2):
+        scanned.append(tuple(images))
+        return scan(decoded1, images, test2)
+
+    monkeypatch.setattr(isolab, "_forward_failure", recording)
     for bound in bounds_to_check(group):
-        scanned = []
-        scan = isolab._forward_failure
-
-        def recording(decoded1, images, test2):
-            bad = scan(decoded1, images, test2)
-            scanned.append(tuple(images))
-            assert bad is None  # no survivor of the prunes fails the scan
-            return bad
-
-        monkeypatch.setattr(isolab, "_forward_failure", recording)
+        # up to bound 3 the prunes are exact; above it every survivor passes A7
         found = [b.map.images for b in search_bijections(group, group, bound)]
-        monkeypatch.undo()
+        assert not scanned, bound
         assert found == [b.map.images
                          for b in search_bijections_by_full_check(group, group, bound)]
-        assert generated_group(scanned, group.order) == set(found)
-        assert len(scanned) <= len(found).bit_length() - 1  # floor(log2 k)
+    monkeypatch.undo()
+
+    # with A7 failing everywhere, every survivor above bound 3 takes the atom check
+    checked = []
+    check = isolab._check_preserving_at
+
+    def recording_check(m, cap, budget):
+        checked.append(m.images)
+        return check(m, cap, budget)
+
+    monkeypatch.setattr(isolab, "_check_preserving_at", recording_check)
+    monkeypatch.setattr(GroupMap, "is_homomorphism", lambda self: False)
+    monkeypatch.setattr(GroupMap, "is_anti_homomorphism", lambda self: False)
+    bound = large_davenport(group)
+    found = [b.map.images for b in search_bijections(group, group, bound)]
+    assert found == [b.map.images
+                     for b in search_bijections_by_full_check(group, group, bound)]
+    if bound > 3:
+        assert found and set(found) <= set(checked)
+    else:
+        assert not checked
+
+
+@pytest.mark.parametrize("spec", ["C4xC4", "C2xC8", "C16", "C2xC2xC4",
+                                  "D16", "Dic16", "C2xD8", "C2xQ8"])
+def test_order_16_self_pairs_find_the_automorphisms_and_their_twists(spec):
+    group = parse_group_spec(spec)
+    assert ({b.map.images for b in search_bijections(group, group, 4)}
+            == automorphisms_and_twists(group))
 
 
 # every relabeling of C2, C3 and C2xC2 is an automorphism, so it keeps the table
