@@ -23,8 +23,9 @@ import hashlib
 import os
 import tempfile
 import threading
-from collections import Counter
+from collections import Counter, OrderedDict
 from dataclasses import dataclass
+from itertools import takewhile
 from math import comb
 
 from .errors import BudgetExceededError, CatalogError, ParseError
@@ -52,7 +53,11 @@ _SHIFT = 5          # bits per exponent slot in packed vectors
 _SLOT = (1 << _SHIFT) - 1
 
 _CACHE_LOCK = threading.Lock()
-_BALL_CACHE: dict = {}
+# group -> its _Ball, least recently used first. A GroupTable is equal and
+# hashed by its table alone, so tables that differ only in names share an
+# entry. The bound keeps every group of the catalog sweep (17) resident.
+_BALL_CACHE: OrderedDict = OrderedDict()
+_BALL_CACHE_SIZE = 32
 
 
 _SHIFTS: dict = {}  # order -> the bit offsets of its slots
@@ -192,13 +197,15 @@ class _Ball:
 
     Both atom sources give the atoms by (length, packed key), whatever order
     the ball or the walk found them in, so a scan of the atoms, and the
-    counterexample it reports, does not depend on the source.
+    counterexample it reports, does not depend on the source. The ball comes
+    by length too, level by level, so a cut below the cap is a prefix.
     """
 
     def __init__(self, group: GroupTable, cap: int):
         self.group = group
         self.cap = cap
         self._vectors = self._atoms = None
+        self._cuts: dict = {}  # (upto, atoms?) -> the cut below the cap
 
     @property
     def vectors(self) -> dict:
@@ -214,9 +221,17 @@ class _Ball:
                 self._atoms = _ball_atoms(self.vectors)
         return self._atoms
 
-
-def _upto(vectors: dict, cap: int, upto: int) -> dict:
-    return vectors if upto >= cap else {k: ln for k, ln in vectors.items() if ln <= upto}
+    def cut(self, upto: int, atoms: bool = False) -> dict:
+        """The ball, or its atoms, to length ``upto``. A cut below the cap is
+        the prefix of entries of length <= upto, made once and kept."""
+        whole = self.atoms() if atoms else self.vectors
+        if upto >= self.cap:
+            return whole
+        cut = self._cuts.get((upto, atoms))
+        if cut is None:
+            cut = self._cuts[upto, atoms] = dict(
+                takewhile(lambda item: item[1] <= upto, whole.items()))
+        return cut
 
 
 def _ball(group: GroupTable, max_len: int, budget: int | None) -> tuple:
@@ -235,6 +250,8 @@ def _ball(group: GroupTable, max_len: int, budget: int | None) -> tuple:
     budget = DEFAULT_SEARCH_BUDGET if budget is None else budget
     with _CACHE_LOCK:
         hit = _BALL_CACHE.get(group)
+        if hit is not None:
+            _BALL_CACHE.move_to_end(group)
     n = group.order
     # the budget caps the identity-free multisets of length <= cap, of which
     # there are C(n + l - 2, l) at each length l
@@ -253,6 +270,9 @@ def _ball(group: GroupTable, max_len: int, budget: int | None) -> tuple:
             old = _BALL_CACHE.get(group)
             if old is None or old.cap < cap:
                 _BALL_CACHE[group] = hit
+                _BALL_CACHE.move_to_end(group)
+                while len(_BALL_CACHE) > _BALL_CACHE_SIZE:
+                    _BALL_CACHE.popitem(last=False)
     if cap == max_len:
         return hit, cap, None
     return hit, cap, BudgetExceededError(
@@ -270,7 +290,7 @@ def product_one_vectors(group: GroupTable, max_len: int, budget: int | None = No
     exact ball up to length l - 1.
     """
     entry, upto, trip = _ball(group, max_len, budget)
-    ball = _upto(entry.vectors, entry.cap, upto)
+    ball = entry.cut(upto)
     if trip is not None:
         trip.partial = ball
         raise trip
@@ -343,7 +363,7 @@ def _atom_keys(group: GroupTable, max_len: int, budget: int | None) -> dict:
     catalog that holds every atom shorter than the length where it tripped.
     """
     entry, upto, trip = _ball(group, max_len, budget)
-    atoms = _upto(entry.atoms(), entry.cap, upto)
+    atoms = entry.cut(upto, atoms=True)
     if trip is not None:
         trip.partial = _catalog_from_keys(group, atoms, max_len, exhaustive=False)
         raise trip

@@ -247,6 +247,14 @@ def _submultiset_products(seq: Sequence, max_states: int | None = None):
     to the bitmask of products realizable by ordering that sub-multiset.
     The state count is the product of (multiplicity + 1) over the support;
     exceeding the budget raises a BudgetExceededError up front.
+
+    A state T reads pi(T) = U_{e in supp T} pi(T - e)·e, and stops reading
+    once its mask has |G'| bits, G' the commutator subgroup. This leaves
+    every mask as it is: every ordering of T has the same image in the
+    abelian G/G', so pi(T) lies in one coset of G', of |G'| elements, and
+    each term pi(T - e)·e is a part of pi(T); a union of terms with |G'|
+    elements is therefore all of pi(T). Over an abelian group |G'| = 1, so
+    each state reads one predecessor.
     """
     budget = DEFAULT_STATE_BUDGET if max_states is None else max_states
     group = seq.group
@@ -260,6 +268,7 @@ def _submultiset_products(seq: Sequence, max_states: int | None = None):
             f"product-set DP needs {total} states, budget is {budget}",
             attempted=total, budget=budget)
     masks = group._mul_mask_tables()
+    full = len(group.commutator_subgroup())
     k = len(supp)
     zero = (0,) * k
     dp = {zero: 1}
@@ -276,6 +285,8 @@ def _submultiset_products(seq: Sequence, max_states: int | None = None):
                 if key[pos]:
                     prev = dp[key[:pos] + (key[pos] - 1,) + key[pos + 1:]]
                     acc |= masks[supp[pos]][prev]
+                    if acc.bit_count() == full:
+                        break
             dp[key] = acc
         layer = list(nxt)
     return dp, supp

@@ -39,6 +39,89 @@ def is_product_one_by_orderings(group, terms):
     return False
 
 
+def products_by_orderings(group, terms):
+    """The set of products of every ordering of ``terms``."""
+    out = set()
+    for order in set(itertools.permutations(terms)):
+        acc = 0
+        for x in order:
+            acc = group.mul(acc, x)
+        out.add(acc)
+    return frozenset(out)
+
+
+def least_product_one_ordering(group, terms):
+    """The lexicographically least ordering of ``terms`` with product 1, or None."""
+    for order in sorted(set(itertools.permutations(terms))):
+        acc = 0
+        for x in order:
+            acc = group.mul(acc, x)
+        if acc == 0:
+            return order
+    return None
+
+
+def is_atom_by_splits(seq):
+    """Whether ``seq`` is nonempty, product-one, and splits into no two
+    nonempty product-one parts; every test tries every ordering."""
+    group = seq.group
+    return (not seq.is_empty() and is_product_one_by_orderings(group, seq.terms())
+            and not any(is_product_one_by_orderings(group, part.terms())
+                        and is_product_one_by_orderings(group, seq.quotient(part).terms())
+                        for part in sub_multisets(seq)[1:-1]))
+
+
+def submultiset_products_by_union(seq):
+    """pi(T) for every sub-multiset T of ``seq``, keyed like the product-set
+    DP (exponents over the support): the union of pi(T - e)·e over every
+    support element e of T, with no early stop."""
+    group = seq.group
+    supp = seq.support()
+    dp = {}
+    for key in sorted(itertools.product(*(range(seq.exponents[e] + 1) for e in supp)),
+                      key=sum):
+        if not any(key):
+            dp[key] = frozenset([0])
+            continue
+        dp[key] = frozenset(group.mul(p, e) for pos, e in enumerate(supp) if key[pos]
+                            for p in dp[key[:pos] + (key[pos] - 1,) + key[pos + 1:]])
+    return dp
+
+
+def first_associativity_failure(rows):
+    """The least (a, b, c) with (a·b)·c != a·(b·c) in the table, or None."""
+    n = len(rows)
+    for a, b, c in itertools.product(range(n), repeat=3):
+        if rows[rows[a][b]][c] != rows[a][rows[b][c]]:
+            return a, b, c
+    return None
+
+
+def random_loop(rng, n):
+    """A seeded Latin square of order ``n`` whose row and column 0 are the
+    identity: cells are filled row by row with shuffled candidates, with
+    backtracking."""
+    rows = [list(range(n))] + [[a] + [None] * (n - 1) for a in range(1, n)]
+    cells = [(a, b) for a in range(1, n) for b in range(1, n)]
+
+    def fill(i):
+        if i == len(cells):
+            return True
+        a, b = cells[i]
+        used = set(rows[a][:b]) | {rows[x][b] for x in range(a)}
+        options = [x for x in range(n) if x not in used]
+        rng.shuffle(options)
+        for x in options:
+            rows[a][b] = x
+            if fill(i + 1):
+                return True
+        rows[a][b] = None
+        return False
+
+    fill(0)
+    return tuple(tuple(row) for row in rows)
+
+
 def least_failing_atom(m, cap, shift):
     """The identity-free atom of ``m.source`` of length <= cap whose image is
     not product-one, least by (length, packed key), with ``shift`` bits per
@@ -50,13 +133,8 @@ def least_failing_atom(m, cap, shift):
                 for c in itertools.combinations_with_replacement(range(1, src.order), ln)]
         for vec in sorted(vecs, key=lambda v: sum(x << (shift * e) for e, x in enumerate(v))):
             seq = Sequence(src, vec)
-            terms = seq.terms()
-            if (not is_product_one_by_orderings(src, terms)
-                    or is_product_one_by_orderings(m.target, [m.images[x] for x in terms])):
-                continue
-            if not any(is_product_one_by_orderings(src, part.terms())
-                       and is_product_one_by_orderings(src, seq.quotient(part).terms())
-                       for part in sub_multisets(seq)[1:-1]):
+            if (not is_product_one_by_orderings(m.target, [m.images[x] for x in seq.terms()])
+                    and is_atom_by_splits(seq)):
                 return seq
     return None
 

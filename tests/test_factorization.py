@@ -4,14 +4,15 @@ from __future__ import annotations
 
 import itertools
 import random
-from collections import Counter
+from collections import Counter, OrderedDict
 from math import comb
 
 import pytest
 
+from prodone import factorization
 from prodone.errors import BudgetExceededError, CatalogError, ParseError
 from prodone.factorization import (DEFAULT_SEARCH_BUDGET, AtomCatalog, _abelian_atoms,
-                                   _atom_keys, _ball_atoms, _level_ball,
+                                   _atom_keys, _Ball, _ball_atoms, _level_ball,
                                    _unpack, enumerate_atoms,
                                    factorizations, fingerprint, is_atom,
                                    large_davenport, length_system,
@@ -569,6 +570,63 @@ def test_product_one_vectors_budget_and_cache():
     ball6 = product_one_vectors(fresh, 6)
     ball4 = product_one_vectors(fresh, 4)
     assert set(ball4) == {k for k, ln in ball6.items() if ln <= 4}
+
+
+@pytest.mark.parametrize("spec, cap", [("S3", 6), ("Q8", 8), ("D10", 10), ("C12", 8)])
+def test_a_cut_below_the_cap_is_the_filtered_ball(spec, cap):
+    entry = _Ball(parse_group_spec(spec), cap)
+    for atoms, whole in ((False, entry.vectors), (True, entry.atoms())):
+        assert entry.cut(cap, atoms) is whole
+        for upto in range(cap):
+            cut = entry.cut(upto, atoms)
+            assert list(cut.items()) == [(k, ln) for k, ln in whole.items() if ln <= upto]
+            assert entry.cut(upto, atoms) is cut  # made once
+
+
+# each answer reads the ball cache, at a cap below |G| and at |G|
+BALL_QUERIES = (
+    lambda g: list(product_one_vectors(g, 4).items()),
+    lambda g: list(product_one_vectors(g, g.order).items()),
+    lambda g: enumerate_atoms(g, 3),
+    lambda g: enumerate_atoms(g, g.order),
+    large_davenport,
+    lambda g: length_system(g, 5),
+)
+
+
+@pytest.mark.parametrize("state", ["cold", "warm", "evicted"])
+def test_no_ball_cache_state_changes_an_answer(state, monkeypatch):
+    cache = OrderedDict()
+    monkeypatch.setattr(factorization, "_BALL_CACHE", cache)
+    # D8 reads its atoms off the ball, C6 finds them by the zero-sum-free walk
+    groups = [parse_group_spec(spec) for spec in ("S3", "D8", "C6", "Q8")]
+    expected = []
+    for query in BALL_QUERIES:
+        for group in groups:
+            cache.clear()
+            expected.append(query(group))
+    cache.clear()
+    if state == "warm":
+        for query in BALL_QUERIES:
+            for group in groups:
+                query(group)
+    elif state == "evicted":
+        monkeypatch.setattr(factorization, "_BALL_CACHE_SIZE", 1)
+    assert [query(group) for query in BALL_QUERIES for group in groups] == expected
+    assert len(cache) == (1 if state == "evicted" else len(groups))
+
+
+def test_ball_cache_evicts_the_least_recently_used_group(monkeypatch):
+    cache = OrderedDict()
+    monkeypatch.setattr(factorization, "_BALL_CACHE", cache)
+    monkeypatch.setattr(factorization, "_BALL_CACHE_SIZE", 2)
+    a, b, c = (parse_group_spec(spec) for spec in ("C3", "C4", "C5"))
+    for group in (a, b, a, c):
+        product_one_vectors(group, 3)
+    assert list(cache) == [a, c]
+    monkeypatch.undo()
+    # the catalog sweep of the benchmark meets 17 groups; none may be evicted
+    assert factorization._BALL_CACHE_SIZE >= 32
 
 
 def _trip(call):

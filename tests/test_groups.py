@@ -18,6 +18,8 @@ from prodone.groups import (GroupMap, GroupTable, abelian_invariants,
                             parse_group_spec, symmetric)
 from prodone.isolab import SMALL_GROUP_SPECS
 
+from brute_force import first_associativity_failure, random_loop, relabeled_copy
+
 
 def assert_group_axioms(group):
     """Recheck the axioms directly, independent of constructor validation."""
@@ -142,6 +144,66 @@ def test_associativity_violation_reported():
     with pytest.raises(GroupTableError) as err:
         GroupTable(rows)
     assert "associat" in str(err.value)
+    _assert_light_test_matches_cubic_check(tuple(map(tuple, rows)))
+
+
+# every family of parse_group_spec, from the trivial group up to A5, and products
+LIGHT_TEST_SPECS = ["C1", "C2", "C9", "C16", "D2", "D10", "D16", "Dic12", "Dic16", "Q8",
+                    "S1", "S3", "S4", "A3", "A4", "A5", "C2xQ8", "S3xC4",
+                    "C2xC2xC2xC2"]
+
+
+@pytest.mark.parametrize("view", ["table", "opposite", "relabeled"])
+@pytest.mark.parametrize("spec", LIGHT_TEST_SPECS)
+def test_light_test_accepts_what_the_cubic_check_accepts(spec, view):
+    group = parse_group_spec(spec)
+    if view == "opposite":
+        group = group.opposite()
+    elif view == "relabeled":
+        group = relabeled_copy(group, random.Random(spec))
+    assert first_associativity_failure(group.table) is None
+    groups._validate_associative(group.table)
+
+
+def _assert_light_test_matches_cubic_check(rows):
+    failure = first_associativity_failure(rows)
+    if failure is None:
+        groups._validate_associative(rows)
+        return
+    with pytest.raises(GroupTableError, match="associativity fails at") as err:
+        groups._validate_associative(rows)
+    a, b, c = map(int, str(err.value).split("(", 1)[1].split(")", 1)[0].split(", "))
+    assert rows[rows[a][b]][c] != rows[a][rows[b][c]]
+
+
+@pytest.mark.parametrize("n", range(2, 10))
+def test_light_test_matches_the_cubic_check_on_seeded_loops(n):
+    # Latin squares with an identity: every one of order <= 4 is a group,
+    # and most larger ones are not associative
+    rng = random.Random(n)
+    rejected = 0
+    for _ in range(40):
+        rows = random_loop(rng, n)
+        _assert_light_test_matches_cubic_check(rows)
+        rejected += first_associativity_failure(rows) is not None
+    assert (rejected == 0) == (n <= 4)
+
+
+@pytest.mark.parametrize("k", [2, 3])
+def test_light_test_checks_more_than_the_first_generator(k):
+    # in C_k x Q, with (c, q) numbered c + k*q, the first generator (1, e)
+    # associates with everything, so every failure needs another generator
+    rng = random.Random(k)
+    rejected = 0
+    for _ in range(10):
+        loop = random_loop(rng, 6)
+        rows = tuple(tuple((c + d) % k + k * loop[q][r] for r in range(6) for d in range(k))
+                     for q in range(6) for c in range(k))
+        assert (first_associativity_failure(rows) is None) == (
+            first_associativity_failure(loop) is None)
+        _assert_light_test_matches_cubic_check(rows)
+        rejected += first_associativity_failure(rows) is not None
+    assert rejected
 
 
 def test_ragged_and_out_of_range_tables():

@@ -9,23 +9,15 @@ import random
 import pytest
 
 from prodone.errors import BudgetExceededError, ParseError
-from prodone.groups import (GroupMap, cyclic, dihedral, dicyclic, direct_product,
-                            find_group_isomorphisms, parse_group_spec, symmetric)
-from prodone.sequences import Sequence, apply_map, parse_sequence
+from prodone.factorization import is_atom
+from prodone.groups import (GroupMap, GroupTable, cyclic, dihedral, dicyclic,
+                            direct_product, find_group_isomorphisms, parse_group_spec,
+                            symmetric)
+from prodone.sequences import Sequence, _submultiset_products, apply_map, parse_sequence
 
-from brute_force import sub_multisets
-
-
-def oracle_products(seq):
-    """Set of products over all orderings, by full permutation enumeration."""
-    g = seq.group
-    out = set()
-    for perm in itertools.permutations(seq.terms()):
-        p = 0
-        for x in perm:
-            p = g.mul(p, x)
-        out.add(p)
-    return frozenset(out)
+from brute_force import (is_atom_by_splits, is_product_one_by_orderings,
+                         least_product_one_ordering, products_by_orderings,
+                         sub_multisets, submultiset_products_by_union)
 
 
 def random_sequence(rng, group, max_len):
@@ -41,19 +33,19 @@ def test_product_set_matches_oracle_randomized():
     for group in groups:
         for _ in range(60):
             seq = random_sequence(rng, group, 6)
-            assert seq.product_set() == oracle_products(seq)
+            assert seq.product_set() == products_by_orderings(group, seq.terms())
     # orders 16 and 24 take the same product memos as the small groups
     for group in [dihedral(16), symmetric(4)]:
         for _ in range(60):
             seq = random_sequence(rng, group, 5)
-            assert seq.product_set() == oracle_products(seq)
+            assert seq.product_set() == products_by_orderings(group, seq.terms())
 
 
 def test_product_memos_hold_no_more_than_the_dp_reads():
     group = dihedral(16)  # a new instance, so its memos start empty
     seq = parse_sequence(group, "r,r3^2,s")
     states = math.prod(v + 1 for v in seq.exponents)
-    assert seq.product_set() == oracle_products(seq)
+    assert seq.product_set() == products_by_orderings(group, seq.terms())
     memos = group._mul_mask_tables()
     assert all(len(memo) <= states for memo in memos)
     assert {h for h, memo in enumerate(memos) if memo} <= set(seq.support())
@@ -239,3 +231,73 @@ def test_large_abelian_products_use_folding():
     total = sum(x * m for x, m in [(5, 7), (7, 5)])
     seq2 = parse_sequence(g, "g5^7,g7^5")
     assert seq2.is_product_one() == (total % 12 == 0)
+
+
+# groups whose commutator subgroup G' ranges from trivial to half the group,
+# so that the coset stop of the product-set DP fires at different depths
+COSET_STOP_GROUPS = ["S4", "Dic12", "A4", "D12", "Dic16", "C2xQ8", "C12", "C2xC2xC2"]
+
+
+def _seeded_sequences(group, seed, count, max_len):
+    """``count`` seeded sequences of 1..max_len terms; every other one is
+    closed to product-one by the inverse of the product of its other terms."""
+    rng = random.Random(seed)
+    out = []
+    for i in range(count):
+        terms = [rng.randrange(group.order) for _ in range(rng.randint(1, max_len))]
+        if i % 2 == 0 and len(terms) > 1:
+            terms[-1] = group.inv(_product(group, terms[:-1]))
+        out.append(Sequence.from_elements(group, terms))
+    return out
+
+
+@pytest.mark.parametrize("spec", COSET_STOP_GROUPS)
+def test_products_witness_and_atoms_match_every_ordering(spec):
+    group = parse_group_spec(spec)
+    for seq in _seeded_sequences(group, 23, 24, 7):
+        terms = seq.terms()
+        assert seq.product_set() == products_by_orderings(group, terms)
+        assert seq.is_product_one() == is_product_one_by_orderings(group, terms)
+        assert seq.product_one_witness() == least_product_one_ordering(group, terms)
+        assert is_atom(seq) == is_atom_by_splits(seq)
+
+
+@pytest.mark.parametrize("spec", COSET_STOP_GROUPS)
+def test_product_set_dp_masks_are_the_full_unions(spec):
+    # the coset stop drops predecessor reads, never a bit of any mask
+    group = parse_group_spec(spec)
+    for seq in _seeded_sequences(group, 29, 12, 8):
+        dp, supp = _submultiset_products(seq)
+        reference = submultiset_products_by_union(seq)
+        assert dp.keys() == reference.keys()
+        assert all(_mask_elements(dp[key]) == reference[key] for key in dp)
+
+
+def _mask_elements(mask):
+    return frozenset(i for i in range(mask.bit_length()) if mask >> i & 1)
+
+
+def test_coset_stop_reads_fewer_memo_entries(monkeypatch):
+    reads = []
+
+    class Counted:
+        def __init__(self, memo):
+            self.memo = memo
+
+        def __getitem__(self, mask):
+            reads.append(mask)
+            return self.memo[mask]
+
+    tables = GroupTable._mul_mask_tables
+    monkeypatch.setattr(GroupTable, "_mul_mask_tables",
+                        lambda self: tuple(Counted(m) for m in tables(self)))
+    group = dicyclic(12)  # |G'| = 3
+    seq = Sequence.from_elements(group, range(1, 10))  # the pattern (1^9)
+    dp, supp = _submultiset_products(seq)
+    assert len(seq.product_set()) == 3 and len(dp) == 2 ** 9
+    # the full union reads one memo entry per support element of each state
+    unions = sum(1 for key in dp for v in key if v)
+    assert unions == 9 * 2 ** 8
+    reads.clear()
+    _submultiset_products(seq)
+    assert len(reads) < unions < len(dp) * len(supp)
