@@ -274,13 +274,24 @@ def _cmd_compare(args) -> CommandResult:
 # -- parser and dispatch ----------------------------------------------------------
 
 
+def _state_count(text: str) -> int:
+    """The value of ``--budget``: an integer >= 0 (0 trips at once)."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = -1
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"expected a state count >= 0, got {text!r}")
+    return value
+
+
 @functools.cache
 def _build_parser() -> _Parser:
     """The argument parser, built once per process; parsing leaves it unchanged."""
     common = _Parser(add_help=False)
     common.add_argument("--format", choices=("human", "structured"), default="human",
                         help="output as aligned text or as JSON")
-    common.add_argument("--budget", type=int, default=None, metavar="STATES",
+    common.add_argument("--budget", type=_state_count, default=None, metavar="STATES",
                         help="override the enumeration state budget")
     common.add_argument("--cache-dir", default=None, metavar="DIR",
                         help=f"atom catalog cache (default ${CACHE_ENV_VAR} "

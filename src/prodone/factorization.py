@@ -156,7 +156,7 @@ def _level_ball(group: GroupTable, cap: int) -> dict:
     n = group.order
     if cap == 0 or n == 1:
         return {}
-    full = n // group.abelianization().order
+    full = len(group.commutator_subgroup())
     masks = group._mul_mask_tables()
     bits = tuple(1 << (_SHIFT * e) for e in range(n))
     inv_bits = tuple(1 << group.inv(e) for e in range(n))

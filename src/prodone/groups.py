@@ -47,7 +47,7 @@ class GroupTable:
                  "_commutator")
 
     def __init__(self, table, names=None, label: str | None = None):
-        rows = tuple(tuple(int(x) for x in row) for row in table)
+        rows = tuple(tuple(map(int, row)) for row in table)
         n = len(rows)
         if n == 0:
             raise GroupTableError("empty multiplication table")
@@ -284,16 +284,45 @@ def _validate_latin(rows) -> None:
                 seen.add(x)
 
 
+def _walk(rows, candidates) -> tuple:
+    """Walk from 0 by right multiplication, adjoining candidates greedily.
+
+    Each candidate not yet reached joins the generators, and the reached set
+    is closed again under right multiplication by all of them. The set
+    reached so far is already closed under the older generators, so only its
+    products with the new one start the work list: one pass over the reached
+    set per generator and one product per reached element and generator,
+    O(|H|·|gens|) table reads in all. Returns ``(gens, reached)``. In a
+    finite group the reached set is the subgroup the generators generate,
+    since g^-1 = g^(k-1) for g of order k.
+    """
+    gens = []
+    reached = [0]
+    seen = {0}
+    for g in candidates:
+        if g in seen:
+            continue
+        gens.append(g)
+        todo = [rows[x][g] for x in reached]
+        while todo:
+            x = todo.pop()
+            if x not in seen:
+                seen.add(x)
+                reached.append(x)
+                row = rows[x]
+                todo.extend(row[s] for s in gens)
+    return gens, seen
+
+
 def _validate_associative(rows) -> None:
     """Light's associativity test over a generating set, in O(n^2·|S|).
 
-    Call it once the identity check has passed. S is picked greedily: each
-    element not yet reached from 0 by right multiplication by S joins S, and
-    the reached set is closed again. So every element is a left-nested
-    product (((s1·s2)·s3)···)·sk over S, and only (x·s)·y = x·(s·y) for s in
-    S and all x, y is tested. That suffices: the set P of s that pass for
-    all x, y holds the identity and S, and is closed under products, since
-    for a, b in P and any x, y
+    Call it once the identity check has passed. S is the greedy set of
+    ``_walk``, which reaches every element from 0 by right multiplication by
+    S. So every element is a left-nested product (((s1·s2)·s3)···)·sk over
+    S, and only (x·s)·y = x·(s·y) for s in S and all x, y is tested. That
+    suffices: the set P of s that pass for all x, y holds the identity and
+    S, and is closed under products, since for a, b in P and any x, y
 
         (x·(ab))·y = ((xa)·b)·y = (xa)·(b·y) = x·(a·(b·y)) = x·((ab)·y),
 
@@ -302,22 +331,7 @@ def _validate_associative(rows) -> None:
     The Algebraic Theory of Semigroups I, 1961, section 1.2.)
     """
     n = len(rows)
-    gens = []
-    reached = [0]
-    seen = {0}
-    for g in range(1, n):
-        if g in seen:
-            continue
-        gens.append(g)
-        todo = [rows[x][g] for x in reached]  # reached is closed under the older gens
-        while todo:
-            x = todo.pop()
-            if x not in seen:
-                seen.add(x)
-                reached.append(x)
-                row = rows[x]
-                todo.extend(row[s] for s in gens)
-    for b in gens:
+    for b in _walk(rows, range(1, n))[0]:
         tb = rows[b]
         for a in range(n):
             ta = rows[a]
@@ -332,20 +346,8 @@ def _validate_associative(rows) -> None:
 
 
 def _subgroup_closure(group: GroupTable, seed) -> frozenset:
-    """Smallest subgroup containing ``seed`` (work-list closure under products)."""
-    t = group.table
-    members = {0}
-    members.update(seed)
-    frontier = list(members)
-    while frontier:
-        a = frontier.pop()
-        for b in list(members):
-            for x in (t[a][b], t[b][a]):
-                if x not in members:
-                    members.add(x)
-                    frontier.append(x)
-    # closure under products in a finite group already gives inverses
-    return frozenset(members)
+    """Smallest subgroup containing ``seed``."""
+    return frozenset(_walk(group.table, seed)[1])
 
 
 def _quotient_by_normal(group: GroupTable, sub: frozenset):
@@ -380,66 +382,52 @@ def _quotient_by_normal(group: GroupTable, sub: frozenset):
 # -- family constructors ----------------------------------------------------------
 
 
+def _metacyclic(m: int, n: int, r: int, k: int, letters: str, label: str) -> GroupTable:
+    """<a, x | a^m = 1, x^n = a^k, x·a·x^-1 = a^r>, with a^i·x^e at index i + m·e.
+
+    (a^i·x^e)(a^j·x^f) = a^(i + j·r^e)·x^(e+f), and x^(e+f) = a^k·x^(e+f-n)
+    once e + f >= n. The caller picks r and k so that this is a group
+    (r^n = 1 and k·(r - 1) = 0 mod m); the table is validated like any other.
+    ``letters`` names a, then x; a^i·x^e is named by the powers it uses, and
+    ``1`` when both are trivial.
+    """
+    a, x = letters[0], letters[1:]
+    rows = []
+    names = []
+    for e in range(n):
+        re = pow(r, e, m)  # once per e, not per cell
+        col = [j * re for j in range(m)]  # x^e·a^j = a^(j·r^e)·x^e
+        xe = x * e if e < 2 else f"{x}{e}"
+        for i in range(m):
+            row = []
+            for f in range(n):
+                shift, ef = (i + k, e + f - n) if e + f >= n else (i, e + f)
+                base = m * ef
+                row += [base + (shift + c) % m for c in col]
+            rows.append(row)
+            names.append((a * i if i < 2 else f"{a}{i}") + xe or "1")
+    return GroupTable(rows, names=names, label=label)
+
+
 def cyclic(n: int, label: str | None = None) -> GroupTable:
     """Cyclic group of order n, generator named ``g``."""
     if n < 1:
         raise GroupTableError(f"cyclic group needs order >= 1, got {n}")
-    rows = tuple(tuple((i + j) % n for j in range(n)) for i in range(n))
-    names = tuple("1" if i == 0 else ("g" if i == 1 else f"g{i}") for i in range(n))
-    return GroupTable(rows, names=names, label=label or f"C{n}")
+    return _metacyclic(n, 1, 1, 0, "g", label or f"C{n}")
 
 
 def dihedral(order: int, label: str | None = None) -> GroupTable:
     """Dihedral group of the given (even) order: rotations r^i, reflections r^i s."""
     if order < 2 or order % 2:
         raise GroupTableError(f"dihedral group needs even order >= 2, got {order}")
-    n = order // 2
-
-    def mul(a, b):
-        i, e = a % n, a // n
-        j, f = b % n, b // n
-        if e == 0:
-            return (i + j) % n + n * f
-        return (i - j) % n + n * (1 - f)
-
-    rows = tuple(tuple(mul(a, b) for b in range(order)) for a in range(order))
-    names = []
-    for e in (0, 1):
-        for i in range(n):
-            rot = "" if i == 0 else ("r" if i == 1 else f"r{i}")
-            if e == 0:
-                names.append(rot or "1")
-            else:
-                names.append(rot + "s")
-    return GroupTable(rows, names=names, label=label or f"D{order}")
+    return _metacyclic(order // 2, 2, -1, 0, "rs", label or f"D{order}")
 
 
 def dicyclic(order: int, label: str | None = None) -> GroupTable:
     """Dicyclic group of order 4n: <a, x | a^(2n) = 1, x^2 = a^n, x a x^-1 = a^-1>."""
     if order < 4 or order % 4:
         raise GroupTableError(f"dicyclic group needs order divisible by 4, got {order}")
-    m = order // 2  # order of a
-    half = m // 2   # x^2 = a^half
-
-    def mul(a, b):
-        i, e = a % m, a // m
-        j, f = b % m, b // m
-        if e == 0:
-            return (i + j) % m + m * f
-        if f == 0:
-            return (i - j) % m + m
-        return (i - j + half) % m
-
-    rows = tuple(tuple(mul(a, b) for b in range(order)) for a in range(order))
-    names = []
-    for e in (0, 1):
-        for i in range(m):
-            pw = "" if i == 0 else ("a" if i == 1 else f"a{i}")
-            if e == 0:
-                names.append(pw or "1")
-            else:
-                names.append(pw + "x")
-    return GroupTable(rows, names=names, label=label or f"Dic{order}")
+    return _metacyclic(order // 2, 2, -1, order // 4, "ax", label or f"Dic{order}")
 
 
 def _perm_mul(p, q):
@@ -709,14 +697,10 @@ def order_profile(group: GroupTable) -> tuple:
 
 
 def generating_sequence(group: GroupTable) -> list:
-    """Greedy generating set: repeatedly adjoin the smallest uncovered element."""
-    gens: list[int] = []
-    covered = frozenset({0})
-    while len(covered) < group.order:
-        g = min(a for a in group.elements() if a not in covered)
-        gens.append(g)
-        covered = _subgroup_closure(group, covered | {g})
-    return gens
+    """Greedy generating set: each element outside the subgroup generated by
+    the earlier ones joins it, so each is the least such element. It is the
+    set Light's test picks, by the same walk."""
+    return _walk(group.table, range(1, group.order))[0]
 
 
 def find_group_isomorphisms(g1: GroupTable, g2: GroupTable, limit: int | None = None):

@@ -210,7 +210,7 @@ def parse_sequence(group: GroupTable, text: str) -> Sequence:
         mult = 1
         if "^" in token:
             head, _, tail = token.rpartition("^")
-            if not head or not tail.isdigit() or int(tail) == 0:
+            if not head or not tail.isdecimal() or int(tail) == 0:
                 raise ParseError(f"bad sequence token {token!r}")
             token, mult = head.strip(), int(tail)
         exps[group.index_of(token)] += mult

@@ -122,6 +122,35 @@ def random_loop(rng, n):
     return tuple(tuple(row) for row in rows)
 
 
+def closure_by_products(group, seed):
+    """The least set holding 1 and ``seed`` and closed under products, found
+    by multiplying every pair of members until nothing new appears."""
+    members = {0, *seed}
+    while True:
+        new = {group.mul(a, b) for a in members for b in members} - members
+        if not new:
+            return frozenset(members)
+        members |= new
+
+
+def greedy_generators_by_closure(group):
+    """Each element, in increasing order, that lies outside the closure of
+    the ones taken before it."""
+    gens, covered = [], frozenset([0])
+    for g in group.elements():
+        if g not in covered:
+            gens.append(g)
+            covered = closure_by_products(group, gens)
+    return gens
+
+
+def commutator_subgroup_by_closure(group):
+    """The closure of every commutator a·b·a^-1·b^-1."""
+    inv = group.inv
+    return closure_by_products(group, {group.mul(group.mul(a, b), group.mul(inv(a), inv(b)))
+                                       for a in group.elements() for b in group.elements()})
+
+
 def least_failing_atom(m, cap, shift):
     """The identity-free atom of ``m.source`` of length <= cap whose image is
     not product-one, least by (length, packed key), with ``shift`` bits per

@@ -222,6 +222,18 @@ def test_budget_exhaustion_exits_2(capsys, tmp_path):
     assert "resource error" in err
 
 
+@pytest.mark.parametrize("argv", [("atoms", "S3"), ("pi", "S3", "r,s")])
+def test_negative_budget_is_a_usage_error(capsys, tmp_path, argv):
+    for value in ("-1", "x"):
+        code, _, err = run(capsys, *argv, "--budget", value, "--cache-dir", str(tmp_path))
+        assert code == 3
+        assert "--budget" in err and "resource error" not in err
+    # a budget of 0 is legal and trips at once
+    code, _, err = run(capsys, *argv, "--budget", "0", "--cache-dir", str(tmp_path))
+    assert code == 2
+    assert "budget" in err and "resource error" in err
+
+
 def test_packing_limit_exits_3_and_order_16_budget_exits_2(capsys, tmp_path):
     code, _, err = run(capsys, "davenport", "C32", "--cache-dir", str(tmp_path))
     assert code == 3

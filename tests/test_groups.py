@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import itertools
 import math
 import random
@@ -18,7 +19,9 @@ from prodone.groups import (GroupMap, GroupTable, abelian_invariants,
                             parse_group_spec, symmetric)
 from prodone.isolab import SMALL_GROUP_SPECS
 
-from brute_force import first_associativity_failure, random_loop, relabeled_copy
+from brute_force import (closure_by_products, commutator_subgroup_by_closure,
+                         first_associativity_failure, greedy_generators_by_closure,
+                         random_loop, relabeled_copy)
 
 
 def assert_group_axioms(group):
@@ -79,6 +82,27 @@ def test_dicyclic_structure(order):
     assert g.mul(x, x) == g.power(a, m // 2)
     # x a x^-1 = a^-1
     assert g.mul(g.mul(x, a), g.inv(x)) == g.inv(a)
+
+
+# sha256 over repr((table, names, label, table_hash())) of each group in turn;
+# the disk catalogs are named by table hash, so these must never move
+@pytest.mark.parametrize("family, build, digest", [
+    ("cyclic 1-31", lambda: [cyclic(n) for n in range(1, 32)],
+     "10831cdf3f02938c292d17bf740d2fed8f12db1cf48b640c904de3c6a46fa68e"),
+    ("dihedral 2-32", lambda: [dihedral(o) for o in range(2, 33, 2)],
+     "bd479f47af3952a54bc967da897df530c3ee1afc6c30ef1685abe7b8fda32c0c"),
+    ("dicyclic 4-32", lambda: [dicyclic(o) for o in range(4, 33, 4)],
+     "74b66fea61e701e4dac8637741c9540af4c104fdb03916a207618d7b99e43529"),
+    ("Q8", lambda: [parse_group_spec("Q8")],
+     "23aeee51f46ccc315d70091310fafdd69a76a1227cf7778b10bf865151f0d142"),
+    ("catalog", lambda: [parse_group_spec(spec) for spec in SMALL_GROUP_SPECS],
+     "2d106184c32271fab8ac4fdce6bd4921c4a02b9a54ddcbd58d95f98b98dcbceb"),
+])
+def test_family_tables_names_and_labels_are_pinned(family, build, digest):
+    h = hashlib.sha256()
+    for g in build():
+        h.update(repr((g.table, g.names, g.label, g.table_hash())).encode())
+    assert h.hexdigest() == digest
 
 
 def test_quaternion_is_dicyclic_8():
@@ -443,6 +467,18 @@ def test_order_profile_and_generators():
         # generating sequences are short: never longer than log2(order)
         assert len(gens) <= max(1, g.order.bit_length())
         rng.shuffle(list(gens))
+
+
+@pytest.mark.parametrize("spec", SMALL_GROUP_SPECS + ("S4", "A5", "C2xA4", "D16", "Dic16",
+                                                     "C2xC2xC2xC2"))
+def test_generator_walk_matches_the_pairwise_closure(spec):
+    g = parse_group_spec(spec)
+    assert generating_sequence(g) == greedy_generators_by_closure(g)
+    assert g.commutator_subgroup() == commutator_subgroup_by_closure(g)
+    rng = random.Random(spec)
+    for size in (1, 2, 3):
+        seed = rng.sample(range(g.order), min(size, g.order))
+        assert groups._subgroup_closure(g, seed) == closure_by_products(g, seed)
 
 
 def test_frozen_attributes():

@@ -133,7 +133,8 @@ def test_parse_sequence_round_trip():
 
 def test_parse_sequence_rejects_bad_tokens():
     s3 = symmetric(3)
-    for bad in ["zz", "r^0", "r^-1", "r^", "^2", "r,,s", ","]:
+    # "²" passes str.isdigit but not int(); it is a bad token like "r^0"
+    for bad in ["zz", "r^0", "r^-1", "r^", "^2", "r,,s", ",", "r^²", "r^2²"]:
         with pytest.raises(ParseError):
             parse_sequence(s3, bad)
     assert parse_sequence(s3, "").is_empty()
