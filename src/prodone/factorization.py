@@ -83,6 +83,15 @@ def _items(key: int) -> tuple:
     return tuple(items)
 
 
+def _image_key(items, images) -> int:
+    """The packed key of a vector, given as its (element, multiplicity)
+    items, after each element e is sent to ``images[e]``."""
+    key = 0
+    for e, v in items:
+        key += v << (_SHIFT * images[e])
+    return key
+
+
 # -- exhaustive product-one enumeration -------------------------------------------
 
 
@@ -404,20 +413,21 @@ class AtomCatalog:
     def save(self, path) -> None:
         """Write the catalog as stable text; atomic via temp-file rename.
 
-        The ``digest`` field is the sha256 of the atom lines, so that a file
-        that lost, gained or reordered lines fails to load.
+        The ``digest`` field is the sha256 of every other line, header
+        included, so that a file that lost, gained, changed or reordered a
+        line fails to load.
         """
         atom_lines = []
         for ln in sorted(self.atoms_by_length):
             for atom in self.atoms_by_length[ln]:
                 vec = " ".join(str(v) for v in atom.exponents)
                 atom_lines.append(f"atom {ln} {vec}")
-        lines = [self.FORMAT_HEADER,
-                 f"group {self.group.table_hash()}",
-                 f"order {self.group.order}",
-                 f"max_length {self.max_length}",
-                 f"exhaustive {int(self.exhaustive)}",
-                 f"digest {_lines_digest(atom_lines)}"] + atom_lines
+        head = [self.FORMAT_HEADER,
+                f"group {self.group.table_hash()}",
+                f"order {self.group.order}",
+                f"max_length {self.max_length}",
+                f"exhaustive {int(self.exhaustive)}"]
+        lines = head + [f"digest {_lines_digest(head + atom_lines)}"] + atom_lines
         text = "\n".join(lines) + "\n"
         path = os.fspath(path)
         directory = os.path.dirname(path) or "."
@@ -447,21 +457,22 @@ class AtomCatalog:
         if not lines or lines[0] != cls.FORMAT_HEADER:
             raise ParseError(f"not a prodone atom catalog: {path}")
         fields = {}
-        atom_lines, body = [], []
+        covered, body = lines[:1], []  # covered: every line but the digest
         for ln in lines[1:]:
             tokens = ln.split()
             if tokens[0] == "atom":
-                atom_lines.append(ln)
                 body.append(tokens[1:])
-            elif len(tokens) == 2:
+            elif len(tokens) == 2 and tokens[0] not in fields:
                 fields[tokens[0]] = tokens[1]
             else:
-                raise ParseError(f"bad catalog line {ln!r}")
+                raise ParseError(f"bad or repeated catalog line {ln!r}")
+            if tokens[0] != "digest":
+                covered.append(ln)
         for need in ("group", "order", "max_length", "exhaustive", "digest"):
             if need not in fields:
                 raise ParseError(f"catalog missing field {need!r}")
-        if fields["digest"] != _lines_digest(atom_lines):
-            raise ParseError(f"catalog atom lines do not match their digest: {path}")
+        if fields["digest"] != _lines_digest(covered):
+            raise ParseError(f"catalog lines do not match their digest: {path}")
         if fields["group"] != group.table_hash():
             raise CatalogError("catalog was built for a different group table")
         try:

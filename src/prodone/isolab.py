@@ -15,7 +15,7 @@ from collections import Counter
 from dataclasses import dataclass
 
 from .errors import BudgetExceededError
-from .factorization import (_SHIFT, _atom_keys, _items, _unpack, fingerprint,
+from .factorization import (_atom_keys, _image_key, _items, _unpack, fingerprint,
                             large_davenport, length_system, product_one_vectors)
 from .groups import (GroupMap, GroupTable, abelian_structure_label,
                      find_group_isomorphisms, parse_group_spec)
@@ -67,13 +67,6 @@ def _identity_counterexample(group: GroupTable) -> Sequence:
     exps = [0] * group.order
     exps[0] = 1
     return Sequence(group, exps)
-
-
-def _image_key(items, images) -> int:
-    key = 0
-    for e, v in items:
-        key += v << (_SHIFT * images[e])
-    return key
 
 
 def _image_test(group: GroupTable, cap: int, budget):
@@ -354,18 +347,32 @@ class AssertionReport:
 
 
 def check_assertions(b: BasisBijection) -> AssertionReport:
-    """Run the seven structural checks a preserving bijection must satisfy.
+    """Run the seven structural checks a preserving bijection f must satisfy.
 
     A1: orders are preserved and the identity maps to the identity.
     A2: images of inverses are inverses of images.
-    A3: the image of a product is one of the two one-sided products, and
-        powers map to powers.
+    A3: the image of a product is one of the two one-sided products,
+        f(ac) in {f(a)f(c), f(c)f(a)}, and powers map to powers,
+        f(g^k) = f(g)^k.
     A4: commuting pairs correspond exactly.
-    A5: no triple mixes the two orientations of A3 on a commuting pair of
-        noncommuting partners.
-    A6: when one element takes both orientations against two partners, the
-        four inverse-partner identities hold.
-    A7: the map is globally a homomorphism or anti-homomorphism.
+    A5: no triple (a, c2, c3) mixes the two orientations of A3, with a
+        commuting with neither partner, f(a c2) = f(a)f(c2) and
+        f(a c3) = f(c3)f(a), on a commuting pair (c2, c3).
+    A6: for every such triple, commuting partners or not, the four
+        inverse-partner identities hold: with i2 = c2^-1 and i3 = c3^-1,
+        f(a i2) = f(a)f(i2), f(i2 a) = f(i2)f(a), f(a i3) = f(i3)f(a) and
+        f(i3 a) = f(a)f(i3). With no such triple A6 is vacuous.
+    A7: the map is globally a homomorphism or anti-homomorphism; a failure
+        names the first pair that breaks each.
+
+    Every counterexample is the first in row-major order: elements by
+    index, pairs (a, c) and triples (a, c2, c3) lexicographically. One scan
+    of the ordered pairs decides A3, A4 and A7 and lists, for each a, the
+    partners c that pin each orientation; one walk over those lists visits
+    the triples of A5 and A6. Powers need no pass of their own: once every
+    pair passes A3, f(g^k) = f(g^(k-1) g) is f(g^(k-1))f(g) or
+    f(g)f(g^(k-1)), and both are f(g)^k when f(g^(k-1)) = f(g)^(k-1), so
+    by induction on k every power passes too.
 
     The consequences are only meaningful for preserving maps, so the
     bijection must have been verified to length 3, or to the full Davenport
@@ -384,153 +391,67 @@ def check_assertions(b: BasisBijection) -> AssertionReport:
     tab1, tab2 = g1.table, g2.table
     inv1 = [g1.inv(x) for x in range(n)]
     inv2 = [g2.inv(y) for y in range(n)]
-    outcomes = []
 
-    def record(name, counterexample=None, vacuous=False):
-        if counterexample is not None:
-            outcomes.append(AssertionOutcome(name, "fail", counterexample))
-        else:
-            outcomes.append(AssertionOutcome(name, "vacuous" if vacuous else "pass"))
+    # the identity is the only element of order 1, so a moved identity fails at g = 0
+    a1 = next(((g,) for g in range(n) if g1.element_order(g) != g2.element_order(f[g])),
+              None)
+    a2 = next(((g,) for g in range(n) if f[inv1[g]] != inv2[f[g]]), None)
 
-    # A1: orders, identity to identity
-    bad = None
-    if f[0] != 0:
-        bad = (0,)
-    else:
-        for g in range(n):
-            if g1.element_order(g) != g2.element_order(f[g]):
-                bad = (g,)
-                break
-    record("A1", bad)
-
-    # A2: inverses
-    bad = None
-    for g in range(n):
-        if f[inv1[g]] != inv2[f[g]]:
-            bad = (g,)
-            break
-    record("A2", bad)
-
-    # A3: two-sided products and powers
-    bad = None
+    a3 = a4 = hom_bad = anti_bad = None
+    left = [[] for _ in range(n)]   # left[a]: c with ac != ca and f(ac) = f(a)f(c)
+    right = [[] for _ in range(n)]  # right[a]: c with ac != ca and f(ac) = f(c)f(a)
     for a in range(n):
+        row, fa = tab1[a], f[a]
         for c in range(n):
-            fp = f[tab1[a][c]]
-            if fp != tab2[f[a]][f[c]] and fp != tab2[f[c]][f[a]]:
-                bad = (a, c)
-                break
-        if bad:
-            break
-    if bad is None:
-        for g in range(n):
-            p1, p2 = 0, 0
-            for k in range(1, g1.element_order(g) + 1):
-                p1 = tab1[p1][g]
-                p2 = tab2[p2][f[g]]
-                if f[p1] != p2:
-                    bad = (g, k)
-                    break
-            if bad:
-                break
-    record("A3", bad)
+            fp, fc = f[row[c]], f[c]
+            fl, fr = tab2[fa][fc], tab2[fc][fa]
+            if fp != fl and hom_bad is None:
+                hom_bad = (a, c)
+            if fp != fr and anti_bad is None:
+                anti_bad = (a, c)
+            if fp != fl and fp != fr and a3 is None:
+                a3 = (a, c)
+            commute = row[c] == tab1[c][a]
+            if commute != (fl == fr) and a4 is None:
+                a4 = (a, c)
+            if not commute:
+                if fp == fl:
+                    left[a].append(c)
+                if fp == fr:
+                    right[a].append(c)
 
-    # A4: commutation correspondence
-    bad = None
+    a5 = a6 = None
     for a in range(n):
-        for c in range(n):
-            if (tab1[a][c] == tab1[c][a]) != (tab2[f[a]][f[c]] == tab2[f[c]][f[a]]):
-                bad = (a, c)
-                break
-        if bad:
-            break
-    record("A4", bad)
+        fa, row = f[a], tab1[a]
+        for c2 in left[a]:
+            i2 = inv1[c2]
+            holds2 = f[row[i2]] == tab2[fa][f[i2]] and f[tab1[i2][a]] == tab2[f[i2]][fa]
+            for c3 in right[a]:
+                i3 = inv1[c3]
+                if a5 is None and tab1[c2][c3] == tab1[c3][c2]:
+                    a5 = (a, c2, c3)
+                if a6 is None and not (holds2 and f[row[i3]] == tab2[f[i3]][fa]
+                                       and f[tab1[i3][a]] == tab2[fa][f[i3]]):
+                    a6 = (a, c2, c3)
+    triples = any(left[a] and right[a] for a in range(n))
 
-    # shared scan for the A5/A6 hypotheses: pairs where an orientation is pinned
-    left = []   # (x, y) noncommuting with f(xy) = f(x)f(y)
-    right = []  # (x, y) noncommuting with f(xy) = f(y)f(x)
-    for a in range(n):
-        for c in range(n):
-            if tab1[a][c] == tab1[c][a]:
-                continue
-            fp = f[tab1[a][c]]
-            if fp == tab2[f[a]][f[c]]:
-                left.append((a, c))
-            if fp == tab2[f[c]][f[a]]:
-                right.append((a, c))
+    is_hom, is_anti = hom_bad is None, anti_bad is None
 
-    # A5: no g1 with f(g1 g2) = f(g1)f(g2), f(g1 g3) = f(g3)f(g1),
-    # both pairs noncommuting, and g2 g3 = g3 g2
-    bad = None
-    by_first_left: dict[int, list] = {}
-    for a, c in left:
-        by_first_left.setdefault(a, []).append(c)
-    by_first_right: dict[int, list] = {}
-    for a, c in right:
-        by_first_right.setdefault(a, []).append(c)
-    for a in range(n):
-        for c2 in by_first_left.get(a, ()):
-            for c3 in by_first_right.get(a, ()):
-                if tab1[c2][c3] == tab1[c3][c2]:
-                    bad = (a, c2, c3)
-                    break
-            if bad:
-                break
-        if bad:
-            break
-    record("A5", bad)
+    def outcome(name, bad, vacuous=False):
+        if bad is not None:
+            return AssertionOutcome(name, "fail", bad)
+        return AssertionOutcome(name, "vacuous" if vacuous else "pass")
 
-    # A6: same hypothesis without the commuting requirement on (g2, g3);
-    # the four displayed conclusions must then hold
-    bad = None
-    hypothesis_seen = False
-    for a in range(n):
-        lefts = by_first_left.get(a, ())
-        rights = by_first_right.get(a, ())
-        if not lefts or not rights:
-            continue
-        for c2 in lefts:
-            for c3 in rights:
-                hypothesis_seen = True
-                i2, i3 = inv1[c2], inv1[c3]
-                checks = (
-                    f[tab1[a][i2]] == tab2[f[a]][f[i2]],
-                    f[tab1[i2][a]] == tab2[f[i2]][f[a]],
-                    f[tab1[a][i3]] == tab2[f[i3]][f[a]],
-                    f[tab1[i3][a]] == tab2[f[a]][f[i3]],
-                )
-                if not all(checks):
-                    bad = (a, c2, c3)
-                    break
-            if bad:
-                break
-        if bad:
-            break
-    record("A6", bad, vacuous=not hypothesis_seen and bad is None)
-
-    # A7: global dichotomy
-    is_hom = m.is_homomorphism()
-    is_anti = m.is_anti_homomorphism()
-    if is_hom or is_anti:
-        record("A7")
-    else:
-        hom_bad = anti_bad = None
-        for a in range(n):
-            for c in range(n):
-                if hom_bad is None and f[tab1[a][c]] != tab2[f[a]][f[c]]:
-                    hom_bad = (a, c)
-                if anti_bad is None and f[tab1[a][c]] != tab2[f[c]][f[a]]:
-                    anti_bad = (a, c)
-            if hom_bad and anti_bad:
-                break
-        record("A7", (hom_bad, anti_bad))
-
+    outcomes = (outcome("A1", a1), outcome("A2", a2), outcome("A3", a3), outcome("A4", a4),
+                outcome("A5", a5), outcome("A6", a6, vacuous=not triples),
+                outcome("A7", None if is_hom or is_anti else (hom_bad, anti_bad)))
     if is_hom:
         classification = "isomorphism"
     elif is_anti:
         classification = "anti_isomorphism"
     else:
         classification = "neither"
-    return AssertionReport(tuple(outcomes), classification, is_hom, is_anti)
+    return AssertionReport(outcomes, classification, is_hom, is_anti)
 
 
 # -- end-to-end verification ------------------------------------------------------

@@ -7,7 +7,7 @@ import itertools
 from prodone.factorization import (LengthSystem, _unpack, enumerate_atoms,
                                    product_one_vectors, set_of_lengths)
 from prodone.groups import GroupMap, GroupTable, find_group_isomorphisms
-from prodone.isolab import BasisBijection
+from prodone.isolab import AssertionOutcome, AssertionReport, BasisBijection
 from prodone.sequences import Sequence
 
 
@@ -18,14 +18,21 @@ def sub_multisets(seq):
     return [Sequence(seq.group, v) for v in vecs]
 
 
-def relabeled_copy(group, rng):
-    """The same abstract group on shuffled element ids."""
+def relabeling(group, rng):
+    """A seeded permutation ``perm`` of the element ids that fixes the
+    identity, and the same abstract group on the shuffled ids, in which
+    perm[a]·perm[b] = perm[a·b]."""
     perm = [0] + rng.sample(range(1, group.order), group.order - 1)
     table = [[0] * group.order for _ in range(group.order)]
     for a in range(group.order):
         for b in range(group.order):
             table[perm[a]][perm[b]] = perm[group.mul(a, b)]
-    return GroupTable(table)
+    return perm, GroupTable(table)
+
+
+def relabeled_copy(group, rng):
+    """The same abstract group on shuffled element ids."""
+    return relabeling(group, rng)[1]
 
 
 def is_product_one_by_orderings(group, terms):
@@ -166,6 +173,80 @@ def least_failing_atom(m, cap, shift):
                     and is_atom_by_splits(seq)):
                 return seq
     return None
+
+
+def assertion_outcomes(m):
+    """The ``AssertionReport`` of A1-A7 on ``m``, each assertion checked by
+    its definition in ``check_assertions`` over every element, pair (a, c)
+    or triple (a, c2, c3), and failing at the first in row-major order.
+    Orders, inverses and powers come from repeated multiplication, and A3
+    checks every power g^k, k <= ord(g), once its pairs pass."""
+    g1, g2, f = m.source, m.target, m.images
+    n = g1.order
+    mul1, mul2 = g1.mul, g2.mul
+
+    def power(mul, x, k):
+        acc = 0
+        for _ in range(k):
+            acc = mul(acc, x)
+        return acc
+
+    def order(mul, x):
+        k = 1
+        while power(mul, x, k) != 0:
+            k += 1
+        return k
+
+    def inverse(mul, x):
+        return next(y for y in range(n) if mul(x, y) == 0)
+
+    def first(cases, fails):
+        return next((case for case in cases if fails(*case)), None)
+
+    def commute(mul, x, y):
+        return mul(x, y) == mul(y, x)
+
+    def hom(a, c):
+        return f[mul1(a, c)] == mul2(f[a], f[c])
+
+    def anti(a, c):
+        return f[mul1(a, c)] == mul2(f[c], f[a])
+
+    def pinned(a, c2, c3):  # the hypothesis of A5 and A6
+        return (not commute(mul1, a, c2) and hom(a, c2)
+                and not commute(mul1, a, c3) and anti(a, c3))
+
+    def inverse_partners(a, c2, c3):  # the conclusion of A6
+        i2, i3 = inverse(mul1, c2), inverse(mul1, c3)
+        return hom(a, i2) and hom(i2, a) and anti(a, i3) and anti(i3, a)
+
+    elements = [(g,) for g in range(n)]
+    pairs = list(itertools.product(range(n), repeat=2))
+    triples = [t for t in itertools.product(range(n), repeat=3) if pinned(*t)]
+    a1 = first(elements, lambda g: (g == 0 and f[g] != 0)
+               or order(mul1, g) != order(mul2, f[g]))
+    a2 = first(elements, lambda g: f[inverse(mul1, g)] != inverse(mul2, f[g]))
+    a3 = first(pairs, lambda a, c: not hom(a, c) and not anti(a, c))
+    if a3 is None:
+        a3 = first([(g, k) for g in range(n) for k in range(1, order(mul1, g) + 1)],
+                   lambda g, k: f[power(mul1, g, k)] != power(mul2, f[g], k))
+    a4 = first(pairs, lambda a, c: commute(mul1, a, c) != commute(mul2, f[a], f[c]))
+    a5 = first(triples, lambda a, c2, c3: commute(mul1, c2, c3))
+    a6 = first(triples, lambda a, c2, c3: not inverse_partners(a, c2, c3))
+    hom_bad = first(pairs, lambda a, c: not hom(a, c))
+    anti_bad = first(pairs, lambda a, c: not anti(a, c))
+    a7 = None if hom_bad is None or anti_bad is None else (hom_bad, anti_bad)
+
+    def outcome(name, bad, vacuous=False):
+        if bad is not None:
+            return AssertionOutcome(name, "fail", bad)
+        return AssertionOutcome(name, "vacuous" if vacuous else "pass")
+
+    outcomes = (outcome("A1", a1), outcome("A2", a2), outcome("A3", a3), outcome("A4", a4),
+                outcome("A5", a5), outcome("A6", a6, vacuous=not triples), outcome("A7", a7))
+    classification = ("isomorphism" if hom_bad is None
+                      else "anti_isomorphism" if anti_bad is None else "neither")
+    return AssertionReport(outcomes, classification, hom_bad is None, anti_bad is None)
 
 
 def length_system_by_factorizations(group, bound, budget=None):

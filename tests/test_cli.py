@@ -288,6 +288,12 @@ CORRUPT_CATALOGS = {
                                                 flags=re.M),
     "swapped atom lines": lambda text: re.sub(r"^(atom 6 .*\n)(atom 6 .*\n)", r"\2\1", text,
                                               count=1, flags=re.M),
+    "edited max_length": lambda text: text.replace("max_length 6", "max_length 7"),
+    "flipped exhaustive flag": lambda text: text.replace("exhaustive 1", "exhaustive 0"),
+    "duplicated field line": lambda text: re.sub(r"^(order .*\n)", r"\1\1", text, count=1,
+                                                 flags=re.M),
+    "unknown field line": lambda text: text.replace("exhaustive 1\n",
+                                                    "exhaustive 1\nsource cli\n"),
 }
 
 
@@ -307,6 +313,18 @@ def test_corrupt_cache_file_is_ignored_and_rewritten(capsys, tmp_path, corrupt):
     assert run(capsys, *args)[:2] == (0, cold)
     assert path.read_text(encoding="ascii") == text
     AtomCatalog.load(path, symmetric(3))
+
+
+def test_edited_header_is_recomputed_not_trusted(capsys, tmp_path):
+    cache, fresh = tmp_path / "cache", tmp_path / "fresh"
+    assert run(capsys, "atoms", "S3", "--max", "4", "--cache-dir", str(cache))[0] == 0
+    [path] = cache.glob("*.atoms")
+    path.write_text(path.read_text(encoding="ascii").replace("max_length 4", "max_length 6"),
+                    encoding="ascii")
+    code, payload, _ = run_json(capsys, "atoms", "S3", "--max", "6", "--cache-dir", str(cache))
+    assert code == 0
+    assert run_json(capsys, "atoms", "S3", "--max", "6", "--cache-dir", str(fresh))[1] == payload
+    assert sum(count for _, count in payload["counts"]) == 58
 
 
 def test_unreadable_cache_path_is_treated_as_absent(capsys, tmp_path):

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import itertools
 import random
 from collections import Counter
@@ -22,8 +23,8 @@ from prodone.isolab import (SMALL_GROUP_SPECS, BasisBijection, check_assertions,
                             _check_preserving_at)
 from prodone.sequences import Sequence, apply_map
 
-from brute_force import (automorphisms_and_twists, least_failing_atom, relabeled_copy,
-                         search_bijections_by_full_check)
+from brute_force import (assertion_outcomes, automorphisms_and_twists, least_failing_atom,
+                         relabeled_copy, search_bijections_by_full_check)
 
 
 def brute_automorphisms(group):
@@ -420,6 +421,57 @@ def test_assertion_counterexamples_name_real_elements():
     report = check_assertions(BasisBijection(GroupMap(s3, s3, tuple(images)), 6))
     g, = report.outcome("A1").counterexample
     assert s3.element_order(g) != s3.element_order(images[g])
+
+
+def seeded_assertion_maps():
+    """Seeded maps, verified_bound=6, over the catalog and S4, D16, Dic16 and
+    C2xA4. Per group: two automorphisms and their twists x -> f(x^-1), each
+    into the group and into its opposite; each of those with the images of
+    a·c and c·a swapped for a random noncommuting pair (a, c), or of two
+    random non-identity elements in an abelian group; and three random
+    bijections, of which the first moves the identity."""
+    rng = random.Random(2304)
+    for spec in SMALL_GROUP_SPECS + ("S4", "D16", "Dic16", "C2xA4"):
+        group = parse_group_spec(spec)
+        n = group.order
+        inv = [group.inv(x) for x in range(n)]
+        swaps = ([(group.mul(a, c), group.mul(c, a)) for a in range(n) for c in range(a)
+                  if group.mul(a, c) != group.mul(c, a)]
+                 or list(itertools.combinations(range(1, n), 2)) or [(0, 1)])
+        images = []
+        for f in rng.sample([m.images for m in find_group_isomorphisms(group, group)],
+                            min(2, n - 1)):
+            images += [f, tuple(f[i] for i in inv)]
+        for f in list(images):
+            swapped = list(f)
+            x, y = rng.choice(swaps)
+            swapped[x], swapped[y] = swapped[y], swapped[x]
+            images.append(tuple(swapped))
+        for k in range(3):
+            perm = list(range(n))
+            rng.shuffle(perm)
+            if k == 0 and perm[0] == 0:
+                perm[0], perm[1] = perm[1], perm[0]
+            images.append(tuple(perm))
+        for target in (group, group.opposite()):
+            for f in images:
+                yield BasisBijection(GroupMap(group, target, f), verified_bound=6)
+
+
+def test_assertion_suite_agrees_with_its_definitions():
+    reports = []
+    for b in seeded_assertion_maps():
+        report = check_assertions(b)
+        assert report == assertion_outcomes(b.map), b.map.images
+        reports.append(report)
+    failed = {o.name for r in reports for o in r.outcomes if o.status == "fail"}
+    assert failed == {f"A{i}" for i in range(1, 8)}
+    assert {r.classification for r in reports} == {"isomorphism", "anti_isomorphism",
+                                                    "neither"}
+    assert {r.outcome("A6").status for r in reports} == {"pass", "fail", "vacuous"}
+    # pinned, so that a changed status, counterexample, classification or flag shows
+    digest = hashlib.sha256(repr(reports).encode("ascii")).hexdigest()
+    assert digest == "1a00602b8dd97402ba6d50b6bc94e3f8232c98507d40b404816eea9a27da8d32"
 
 
 def test_theorem_s3_self_pair():

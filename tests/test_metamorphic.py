@@ -1,17 +1,20 @@
-"""Metamorphic properties of atoms, balls and sets of lengths under random
-relabeling and under passing to the opposite group."""
+"""Metamorphic properties of atoms, balls, sets of lengths and theorem
+verdicts under random relabeling and under passing to the opposite group."""
 
 from __future__ import annotations
 
+import functools
 from collections import Counter
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from prodone.factorization import _atom_keys, length_system, product_one_vectors
+from prodone.factorization import (_atom_keys, large_davenport, length_system,
+                                   product_one_vectors)
 from prodone.groups import cyclic, direct_product, parse_group_spec
+from prodone.isolab import check_assertions, search_bijections
 
-from brute_force import relabeled_copy
+from brute_force import relabeled_copy, relabeling
 
 # C_m x C_n with m | n and mn <= 16
 RANK_TWO = [(m, n) for n in range(1, 17) for m in range(1, n + 1)
@@ -61,3 +64,54 @@ def test_relabeling_and_the_opposite_group_keep_the_length_system(spec, rng, bou
     system = length_system(group, bound)
     assert length_system(relabeled_copy(group, rng), bound) == system
     assert length_system(group.opposite(), bound) == system
+
+
+VERDICT_SPECS = ["S3", "D8", "Q8", "D10", "C2xC2xC2", "C3xC3"]
+
+
+@functools.lru_cache(maxsize=None)
+def self_pair_verdict(spec):
+    """The group, its D(G) and the reports of its self-pair bijections at
+    that bound, keyed by image tuple; each is computed once, on the
+    original table."""
+    group = parse_group_spec(spec)
+    bound = large_davenport(group)
+    return group, bound, {b.map.images: check_assertions(b)
+                          for b in search_bijections(group, group, bound)}
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.sampled_from(VERDICT_SPECS), st.randoms(use_true_random=False))
+def test_relabeling_the_source_relabels_the_image_lists(spec, rng):
+    # f on the group is f' on the twin with f'(perm[a]) = f(a)
+    group, bound, reports = self_pair_verdict(spec)
+    perm, twin = relabeling(group, rng)
+    expected = set()
+    for images in reports:
+        moved = [0] * group.order
+        for a, y in enumerate(images):
+            moved[perm[a]] = y
+        expected.add(tuple(moved))
+    found = search_bijections(twin, group, bound)
+    assert {b.map.images for b in found} == expected
+    assert (Counter(check_assertions(b).classification for b in found)
+            == Counter(r.classification for r in reports.values()))
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.sampled_from(VERDICT_SPECS), st.randoms(use_true_random=False))
+def test_an_opposite_target_swaps_isomorphisms_and_anti_isomorphisms(spec, rng):
+    # composing with a relabeling of the target keeps both flags, and
+    # reversing the target's product swaps them
+    group, bound, reports = self_pair_verdict(spec)
+    perm, twin = relabeling(group, rng)
+    expected = {tuple(perm[y] for y in images): (r.is_anti_isomorphism, r.is_isomorphism)
+                for images, r in reports.items()}
+    found = search_bijections(group, twin.opposite(), bound)
+    flags = {}
+    for b in found:
+        report = check_assertions(b)
+        flags[b.map.images] = (report.is_isomorphism, report.is_anti_isomorphism)
+    assert flags == expected
+    if group.is_abelian:
+        assert all(iso and anti for iso, anti in flags.values())
