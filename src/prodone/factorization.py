@@ -70,28 +70,6 @@ def _unpack(key: int, order: int) -> tuple:
     return tuple([(key >> s) & _SLOT for s in shifts])
 
 
-def _items(key: int) -> tuple:
-    """(element, multiplicity) pairs of a packed vector, by increasing element."""
-    items = []
-    e = 0
-    while key:
-        v = key & _SLOT
-        if v:
-            items.append((e, v))
-        key >>= _SHIFT
-        e += 1
-    return tuple(items)
-
-
-def _image_key(items, images) -> int:
-    """The packed key of a vector, given as its (element, multiplicity)
-    items, after each element e is sent to ``images[e]``."""
-    key = 0
-    for e, v in items:
-        key += v << (_SHIFT * images[e])
-    return key
-
-
 # -- exhaustive product-one enumeration -------------------------------------------
 
 

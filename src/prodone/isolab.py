@@ -15,11 +15,9 @@ from collections import Counter
 from dataclasses import dataclass
 
 from .errors import BudgetExceededError
-from .factorization import (_atom_keys, _image_key, _items, _unpack, fingerprint,
-                            large_davenport, length_system, product_one_vectors)
+from .factorization import fingerprint, large_davenport, length_system
 from .groups import (GroupMap, GroupTable, abelian_structure_label,
                      find_group_isomorphisms, parse_group_spec)
-from .sequences import Sequence
 
 __all__ = [
     "SMALL_GROUP_SPECS",
@@ -63,134 +61,6 @@ class BasisBijection:
             raise ValueError(f"negative verified_bound {self.verified_bound}")
 
 
-def _identity_counterexample(group: GroupTable) -> Sequence:
-    exps = [0] * group.order
-    exps[0] = 1
-    return Sequence(group, exps)
-
-
-def _image_test(group: GroupTable, cap: int, budget):
-    """A test ``(items, images) -> bool`` of whether a map into ``group``
-    sends an identity-free multiset of length <= cap, given as its
-    (element, multiplicity) items, to a product-one one.
-
-    Over an abelian group every ordering has the same product, so the test
-    multiplies the image terms out; otherwise it looks the image up in the
-    product-one ball of ``group``.
-    """
-    if not group.is_abelian:
-        ball = product_one_vectors(group, cap, budget)
-        return lambda items, images: _image_key(items, images) in ball
-    tab = group.table
-    powers = []  # powers[y][v] = y^v
-    for y in range(group.order):
-        row = [0]
-        for _ in range(cap):
-            row.append(tab[row[-1]][y])
-        powers.append(row)
-
-    def test(items, images):
-        acc = 0
-        for e, v in items:
-            acc = tab[acc][powers[images[e]][v]]
-        return acc == 0
-
-    return test
-
-
-def _decoded_atoms(group: GroupTable, cap: int, budget):
-    """(packed key, items) of the identity-free atoms of ``group`` to ``cap``,
-    by (length, packed key), each decoded when it is read. The atoms are
-    looked up at the call, so a budget trip raises there."""
-    return ((k, _items(k)) for k in _atom_keys(group, cap, budget))
-
-
-def _forward_failure(decoded1, images, test2):
-    """First vector of ``decoded1`` whose image is not product-one, if any.
-
-    Lemma B: for a bijection f with f(1) = 1 it is enough to scan the source's
-    identity-free atoms of length <= cap, not its whole ball. Proof: f acts
-    on multisets additively and keeps lengths. Every identity-free
-    product-one T of length <= cap is a concatenation of such atoms, each
-    image of which is product-one, and a concatenation of product-one
-    sequences is product-one; f(T) is identity-free because only 1 maps to 1.
-    So f(ball1) ⊆ ball2 iff f(atoms1) ⊆ ball2. The atoms come by (length,
-    packed key), so the failure returned is the least failing atom in that
-    order, and a shortest one.
-
-    The reverse direction is this check for f^-1, which fixes 1 as well:
-    f^-1(ball2) ⊆ ball1 iff f^-1(atoms2) ⊆ ball1, by Lemma B applied to f^-1.
-    The two inclusions together say f(ball1) = ball2. When the two groups
-    have one table the forward inclusion already does: f is injective on
-    multisets, so it cannot map the finite ball1 onto a proper part of itself.
-    """
-    for key, items in decoded1:
-        if not test2(items, images):
-            return key
-    return None
-
-
-def _check_preserving_at(m: GroupMap, cap: int, budget):
-    """(preserves, counterexample) for all sequence lengths <= cap.
-
-    Identity-free product-one vectors carry the whole question: padding with
-    identities changes nothing once the identity is known to map to the
-    identity. Each direction is checked on its source's atoms (see
-    ``_forward_failure``). A forward counterexample is the (length, packed
-    key)-least failing atom of the source, a product-one sequence whose image
-    is not. A reverse counterexample is the pull-back of the least failing
-    atom of the target, a sequence that is not product-one although its image
-    is an atom. Either is a shortest failure of its kind.
-    """
-    if m.images[0] != 0:
-        return False, _identity_counterexample(m.source)
-    if cap == 0:
-        return True, None
-    n = m.source.order
-    bad = _forward_failure(_decoded_atoms(m.source, cap, budget), m.images,
-                           _image_test(m.target, cap, budget))
-    if bad is not None:
-        return False, Sequence(m.source, _unpack(bad, n))
-    if m.source == m.target:
-        return True, None
-    inverse = m.inverse().images
-    bad = _forward_failure(_decoded_atoms(m.target, cap, budget), inverse,
-                           _image_test(m.source, cap, budget))
-    if bad is None:
-        return True, None
-    return False, Sequence(m.source, _unpack(_image_key(_items(bad), inverse), n))
-
-
-def verify_preserving(b: BasisBijection, bound: int, budget: int | None = None) -> bool:
-    """Whether b.map sends product-one to product-one both ways, up to ``bound``.
-
-    On a completed positive check, ``verified_bound`` is raised to ``bound``.
-    On budget exhaustion the error propagates after staging down through
-    smaller bounds to the first that fits the budget, so ``verified_bound``
-    still records the largest one that can be completed. The trip left its
-    exact partial ball in the ball cache, so the bounds that trip again cost
-    no enumeration, and the one that fits reads the ball from that cache.
-    """
-    if bound < 1:
-        raise ValueError(f"bound must be >= 1, got {bound}")
-    try:
-        ok, _ = _check_preserving_at(b.map, bound, budget)
-    except BudgetExceededError as err:
-        for cap in range(bound - 1, 0, -1):
-            try:
-                ok, _ = _check_preserving_at(b.map, cap, budget)
-            except BudgetExceededError:
-                continue
-            if not ok:
-                return False
-            b.verified_bound = max(b.verified_bound, cap)
-            break
-        raise err
-    if ok:
-        b.verified_bound = max(b.verified_bound, bound)
-    return ok
-
-
 def _po3(table, a, b, c) -> bool:
     """Whether the multiset {a, b, c} is product-one.
 
@@ -206,16 +76,17 @@ def _capped_order_census(group: GroupTable, bound: int) -> Counter:
                    for o in (group.element_order(x) for x in group.elements()))
 
 
-def search_bijections(g1: GroupTable, g2: GroupTable, bound: int,
-                      budget: int | None = None) -> list:
-    """All bijections g1 -> g2 preserving product-one up to ``bound``.
+def _preserving_maps(g1: GroupTable, g2: GroupTable, bound: int, only=None) -> list:
+    """The bijections g1 -> g2 fixing 1 that preserve product-one both ways
+    up to ``bound``, by increasing image tuple, each with ``verified_bound``
+    set to ``bound``. With ``only``, an image tuple, x may take only the
+    image ``only[x]``, so the list holds that one map or nothing.
 
     Backtracking over images in increasing element order, with the identity
-    fixed. Results are sorted by image tuple, each with ``verified_bound``
-    set to ``bound``. Only identity-free multisets matter, since 1 maps to 1
-    and padding with it changes no product.
-
-    The prunes are exact up to length 3, so at bound <= 3 every survivor is
+    fixed and each element's candidates in increasing order, so the maps
+    come out by increasing image tuple. Only identity-free multisets
+    matter, since 1 maps to 1 and padding with it changes no product. The
+    prunes are exact up to length 3, so at bound <= 3 every survivor is
     accepted as it stands:
 
     - Orders: (x^i) is product-one iff ord(x) divides i. So a map that
@@ -227,29 +98,26 @@ def search_bijections(g1: GroupTable, g2: GroupTable, bound: int,
       inverse-pair rule f(x^-1) = f(x)^-1 is exactly preservation.
     - Length 3: {a, b, c} is product-one iff one of its two cyclic classes
       of orderings is (see ``_po3``). From bound 3, {x, x, x} agrees both
-      ways through the order-3 census. Placing x, the greatest element so
+      ways through the order-3 prune. Placing x, the greatest element so
       far, tests {x, x, a} and {x, a, c} for every a <= c < x, the identity
       included. So every triple is compared once its greatest element has
       an image, and agreement on all triples is preservation both ways.
 
-    Above bound 3 a survivor is accepted when it is a homomorphism or an
-    anti-homomorphism (A7). A homomorphism f sends an ordering with product
-    1 to one with product f(1) = 1, and its inverse is one too. An
-    anti-homomorphism does the same for the reversed ordering. Either
-    preserves product-one at every length, both ways. Any other survivor is
-    accepted only after the atom check of ``_check_preserving_at`` (Lemma B,
-    see ``_forward_failure``). None is known to reach it: length 3 makes f
-    a half-homomorphism, f(xy) in {f(x)f(y), f(y)f(x)}, and W. R. Scott,
-    "Half-homomorphisms of groups", Proc. AMS 8 (1957), shows that such a
-    map is a homomorphism or an anti-homomorphism. The verdict rests on the
-    check it runs, not on that theorem.
+    Above bound 3 a survivor is a homomorphism or an anti-homomorphism
+    (A7), and then it preserves product-one at every length, both ways: a
+    homomorphism f sends an ordering with product 1 to one with product
+    f(1) = 1, and its inverse is one too; an anti-homomorphism does the same
+    for the reversed ordering. Proof that every survivor is one of the two:
+    for a, b != 1 with ab != 1, the triple {a, b, (ab)^-1} is product-one,
+    so its image {f(a), f(b), f((ab)^-1)} is; the inverse-pair rule makes
+    f((ab)^-1) = f(ab)^-1, so f(ab) is f(a)f(b) or f(b)f(a). When a = 1,
+    b = 1 or ab = 1, f(ab) = f(a)f(b) by f(1) = 1 and the inverse-pair rule.
+    So f is a half-homomorphism, and W. R. Scott, "Half-homomorphisms of
+    groups", Proc. AMS 8 (1957), shows that every half-homomorphism of
+    groups is a homomorphism or an anti-homomorphism. A survivor that is
+    neither would refute that theorem; it raises ``RuntimeError`` naming
+    its images, so no answer rests on the theorem.
     """
-    if bound < 1:
-        raise ValueError(f"bound must be >= 1, got {bound}")
-    if g1.order != g2.order:
-        return []
-    if _capped_order_census(g1, bound) != _capped_order_census(g2, bound):
-        return []
     n = g1.order
     tab1, tab2 = g1.table, g2.table
     ord1 = [g1.element_order(x) for x in range(n)]
@@ -259,7 +127,7 @@ def search_bijections(g1: GroupTable, g2: GroupTable, bound: int,
     cands = []
     for x in range(n):
         row = []
-        for y in range(n):
+        for y in (range(n) if only is None else (only[x],)):
             if ord1[x] <= bound or ord2[y] <= bound:
                 if ord1[x] != ord2[y]:
                     continue
@@ -296,9 +164,11 @@ def search_bijections(g1: GroupTable, g2: GroupTable, bound: int,
     def extend(x):
         if x == n:
             m = GroupMap(g1, g2, tuple(images))
-            if (bound <= 3 or m.is_homomorphism() or m.is_anti_homomorphism()
-                    or _check_preserving_at(m, bound, budget)[0]):
-                results.append(BasisBijection(m, bound))
+            if bound > 3 and not (m.is_homomorphism() or m.is_anti_homomorphism()):
+                raise RuntimeError(
+                    f"the map with images {m.images} passes every check to length 3 "
+                    f"but is neither a homomorphism nor an anti-homomorphism")
+            results.append(BasisBijection(m, bound))
             return
         for y in cands[x]:
             if used[y] or not admissible(x, y):
@@ -310,8 +180,46 @@ def search_bijections(g1: GroupTable, g2: GroupTable, bound: int,
             used[y] = False
 
     extend(1)
-    results.sort(key=lambda b: b.map.images)
     return results
+
+
+def verify_preserving(b: BasisBijection, bound: int) -> bool:
+    """Whether b.map sends product-one to product-one both ways, up to ``bound``.
+
+    True when b.map survives the backtracking of ``search_bijections`` with
+    its own image as each element's only candidate; ``_preserving_maps``
+    proves that exact. The walk fixes 1, so a map that moves 1 fails where
+    it sends some x != 1 to 1, which is taken. No atom, ball or Davenport
+    constant is computed. On a positive answer ``verified_bound`` is raised
+    to ``bound``; it never decreases.
+    """
+    if bound < 1:
+        raise ValueError(f"bound must be >= 1, got {bound}")
+    m = b.map
+    ok = bool(_preserving_maps(m.source, m.target, bound, m.images))
+    if ok:
+        b.verified_bound = max(b.verified_bound, bound)
+    return ok
+
+
+def search_bijections(g1: GroupTable, g2: GroupTable, bound: int) -> list:
+    """All bijections g1 -> g2 preserving product-one up to ``bound``.
+
+    Results are sorted by image tuple, each with ``verified_bound`` set to
+    ``bound``. Groups of different orders, or with different element-order
+    counts among the orders up to ``bound``, have none. Otherwise the maps
+    come from the backtracking of ``_preserving_maps``, whose docstring
+    proves it exact: up to bound 3 its prunes are, and above it every
+    survivor is a homomorphism or an anti-homomorphism, which preserves
+    product-one at every length.
+    """
+    if bound < 1:
+        raise ValueError(f"bound must be >= 1, got {bound}")
+    if g1.order != g2.order:
+        return []
+    if _capped_order_census(g1, bound) != _capped_order_census(g2, bound):
+        return []
+    return _preserving_maps(g1, g2, bound)
 
 
 # -- the assertion suite ----------------------------------------------------------
@@ -375,17 +283,19 @@ def check_assertions(b: BasisBijection) -> AssertionReport:
     by induction on k every power passes too.
 
     The consequences are only meaningful for preserving maps, so the
-    bijection must have been verified to length 3, or to the full Davenport
-    bound of the pair when that is smaller.
+    bijection must have been verified to length min(3, |G|). That is length
+    3, or the Davenport bound of the pair when it is smaller, since
+    D(G) >= 3 whenever |G| >= 3: an element g of order k >= 3 gives the
+    atom (g, ..., g) of length k, and otherwise G is elementary abelian of
+    rank >= 2, with the atom {e1, e2, e1e2}; D(C1) = 1 and D(C2) = 2. So no Davenport constant
+    is computed to reject a map.
     """
     m = b.map
     g1, g2 = m.source, m.target
-    if b.verified_bound < 3:
-        needed = max(large_davenport(g1), large_davenport(g2))
-        if b.verified_bound < needed:
-            raise ValueError(
-                f"assertions need preservation verified to length 3 "
-                f"(or the Davenport bound {needed}); have {b.verified_bound}")
+    needed = min(3, g1.order)
+    if b.verified_bound < needed:
+        raise ValueError(f"assertions need preservation verified to length {needed}; "
+                         f"have {b.verified_bound}")
     f = m.images
     n = g1.order
     tab1, tab2 = g1.table, g2.table
@@ -476,9 +386,10 @@ def verify_theorem(g1: GroupTable, g2: GroupTable, budget: int | None = None) ->
 
     Searches at the Davenport bound of the pair, runs the assertion suite on
     each surviving bijection, and compares against direct isomorphism search.
-    A budget trip is re-raised with ``partial`` naming the pair and the stage:
-    ``"davenport"``, with the partial atom catalog under ``"catalog"``, or
-    ``"search"``.
+    Only the Davenport constants use the budget: the search builds no ball.
+    A budget trip is re-raised with ``partial`` naming the pair and the
+    stage, ``"davenport"``, with the partial atom catalog under
+    ``"catalog"``.
     """
     try:
         bound = max(large_davenport(g1, budget), large_davenport(g2, budget))
@@ -486,12 +397,8 @@ def verify_theorem(g1: GroupTable, g2: GroupTable, budget: int | None = None) ->
         err.partial = {"group1": g1.label, "group2": g2.label, "stage": "davenport",
                        "catalog": err.partial}
         raise
-    try:
-        bijections = tuple(search_bijections(g1, g2, bound, budget))
-        reports = tuple(check_assertions(b) for b in bijections)
-    except BudgetExceededError as err:
-        err.partial = {"group1": g1.label, "group2": g2.label, "stage": "search"}
-        raise
+    bijections = tuple(search_bijections(g1, g2, bound))
+    reports = tuple(check_assertions(b) for b in bijections)
     classifications = tuple(r.classification for r in reports)
     all_classified = all(c != "neither" for c in classifications)
     isomorphic = bool(find_group_isomorphisms(g1, g2, limit=1))

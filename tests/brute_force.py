@@ -158,23 +158,6 @@ def commutator_subgroup_by_closure(group):
                                        for a in group.elements() for b in group.elements()})
 
 
-def least_failing_atom(m, cap, shift):
-    """The identity-free atom of ``m.source`` of length <= cap whose image is
-    not product-one, least by (length, packed key), with ``shift`` bits per
-    packed slot; None if there is none. Product-one is decided by trying
-    every ordering, and atomicity by trying every split into two parts."""
-    src = m.source
-    for ln in range(1, cap + 1):
-        vecs = [Sequence.from_elements(src, c).exponents
-                for c in itertools.combinations_with_replacement(range(1, src.order), ln)]
-        for vec in sorted(vecs, key=lambda v: sum(x << (shift * e) for e, x in enumerate(v))):
-            seq = Sequence(src, vec)
-            if (not is_product_one_by_orderings(m.target, [m.images[x] for x in seq.terms()])
-                    and is_atom_by_splits(seq)):
-                return seq
-    return None
-
-
 def assertion_outcomes(m):
     """The ``AssertionReport`` of A1-A7 on ``m``, each assertion checked by
     its definition in ``check_assertions`` over every element, pair (a, c)

@@ -11,7 +11,7 @@ import pytest
 
 from prodone import factorization, isolab
 from prodone.errors import BudgetExceededError
-from prodone.factorization import (AtomCatalog, _unpack, enumerate_atoms, is_atom,
+from prodone.factorization import (AtomCatalog, _unpack, enumerate_atoms,
                                    large_davenport, product_one_vectors)
 from prodone.groups import (GroupMap, cyclic, dihedral,
                             direct_product, find_group_isomorphisms,
@@ -19,12 +19,11 @@ from prodone.groups import (GroupMap, cyclic, dihedral,
 from prodone.isolab import (SMALL_GROUP_SPECS, BasisBijection, check_assertions,
                             compare_invariants, opposite_transport,
                             search_bijections, small_group_catalog,
-                            verify_preserving, verify_theorem,
-                            _check_preserving_at)
+                            verify_preserving, verify_theorem)
 from prodone.sequences import Sequence, apply_map
 
-from brute_force import (assertion_outcomes, automorphisms_and_twists, least_failing_atom,
-                         relabeled_copy, search_bijections_by_full_check)
+from brute_force import (assertion_outcomes, automorphisms_and_twists, relabeled_copy,
+                         search_bijections_by_full_check)
 
 
 def brute_automorphisms(group):
@@ -88,41 +87,23 @@ def bounds_to_check(group):
 @pytest.mark.parametrize("spec", SMALL_SPECS)
 def test_self_pair_search_scans_only_what_a7_cannot_certify(spec, monkeypatch):
     group = parse_group_spec(spec)
-    scanned = []
-    scan = isolab._forward_failure
-
-    def recording(decoded1, images, test2):
-        scanned.append(tuple(images))
-        return scan(decoded1, images, test2)
-
-    monkeypatch.setattr(isolab, "_forward_failure", recording)
+    expected = {}
     for bound in bounds_to_check(group):
         # up to bound 3 the prunes are exact; above it every survivor passes A7
-        found = [b.map.images for b in search_bijections(group, group, bound)]
-        assert not scanned, bound
-        assert found == [b.map.images
-                         for b in search_bijections_by_full_check(group, group, bound)]
-    monkeypatch.undo()
+        expected[bound] = [b.map.images
+                           for b in search_bijections_by_full_check(group, group, bound)]
+        assert [b.map.images for b in search_bijections(group, group, bound)] == expected[bound]
 
-    # with A7 failing everywhere, every survivor above bound 3 takes the atom check
-    checked = []
-    check = isolab._check_preserving_at
-
-    def recording_check(m, cap, budget):
-        checked.append(m.images)
-        return check(m, cap, budget)
-
-    monkeypatch.setattr(isolab, "_check_preserving_at", recording_check)
+    # with A7 failing everywhere, a survivor above bound 3 stops the search
     monkeypatch.setattr(GroupMap, "is_homomorphism", lambda self: False)
     monkeypatch.setattr(GroupMap, "is_anti_homomorphism", lambda self: False)
-    bound = large_davenport(group)
-    found = [b.map.images for b in search_bijections(group, group, bound)]
-    assert found == [b.map.images
-                     for b in search_bijections_by_full_check(group, group, bound)]
-    if bound > 3:
-        assert found and set(found) <= set(checked)
-    else:
-        assert not checked
+    for bound in bounds_to_check(group):
+        if bound > 3:
+            with pytest.raises(RuntimeError, match="neither a homomorphism"):
+                search_bijections(group, group, bound)
+        else:
+            found = search_bijections(group, group, bound)
+            assert [b.map.images for b in found] == expected[bound]
 
 
 @pytest.mark.parametrize("spec", ["C4xC4", "C2xC8", "C16", "C2xC2xC4",
@@ -168,10 +149,11 @@ def test_verify_preserving_rejects_and_witnesses():
     b = BasisBijection(bad)
     assert verify_preserving(b, 3) is False
     assert b.verified_bound == 0
-    ok, counterexample = _check_preserving_at(bad, 3, None)
-    assert not ok
-    assert counterexample.is_product_one()
-    assert not apply_map(bad, counterexample).is_product_one()
+    # a product-one triple whose image is not
+    witnesses = [seq for seq in (Sequence.from_elements(s3, t) for t in
+                                 itertools.combinations_with_replacement(range(1, 6), 3))
+                 if seq.is_product_one() and not apply_map(bad, seq).is_product_one()]
+    assert witnesses
 
 
 def test_verify_preserving_identity_must_fix_identity():
@@ -181,24 +163,23 @@ def test_verify_preserving_identity_must_fix_identity():
     assert verify_preserving(b, 2) is False
 
 
-def test_verify_preserving_budget_staging(monkeypatch):
-    rng = random.Random(31)
-    g = relabeled_copy(dihedral(8), rng)
-    b = BasisBijection(GroupMap.identity(g))
-    caps = []
-    level_ball = factorization._level_ball
+def test_verify_preserving_builds_no_ball(monkeypatch):
+    def level_ball(group, cap):
+        raise AssertionError(f"ball of {group.label} built to {cap}")
 
-    def counted(group, cap):
-        caps.append(cap)
-        return level_ball(group, cap)
+    def davenport(group, budget=None):
+        raise AssertionError(f"D({group.label}) computed")
 
-    monkeypatch.setattr(factorization, "_level_ball", counted)
-    # D8 has 791 identity-free multisets to length 5 and 1715 to length 6
-    with pytest.raises(BudgetExceededError):
-        verify_preserving(b, 6, budget=1000)
-    # the trip's exact ball to length 5 serves the staged check
-    assert caps == [5]
-    assert b.verified_bound == 5
+    monkeypatch.setattr(factorization, "_level_ball", level_ball)
+    monkeypatch.setattr(isolab, "large_davenport", davenport)
+    # a relabeled copy misses the per-group ball cache
+    g = relabeled_copy(dihedral(8), random.Random(31))
+    inv = BasisBijection(GroupMap.inversion(g))
+    assert verify_preserving(inv, 6)
+    assert inv.verified_bound == 6
+    swapped = list(range(8))
+    swapped[1], swapped[2] = swapped[2], swapped[1]
+    assert not verify_preserving(BasisBijection(GroupMap(g, g, tuple(swapped))), 6)
 
 
 def full_ball_preserves(m, cap):
@@ -256,71 +237,17 @@ def identity_fixing_maps(rng):
     yield from pair_keeping_maps(parse_group_spec("C8"), parse_group_spec("Q8"), rng, 3)
 
 
-def test_atom_only_check_agrees_with_a_full_ball_scan():
-    outcomes = set()
+def test_verify_preserving_agrees_with_a_full_ball_scan():
+    outcomes = Counter()
     for m in identity_fixing_maps(random.Random(41)):
         top = max(large_davenport(m.source), large_davenport(m.target))
-        for cap in range(2, top + 1):
-            ok, counterexample = _check_preserving_at(m, cap, None)
-            assert ok == full_ball_preserves(m, cap)
-            outcomes.add(ok)
-            if ok:
-                continue
-            image = apply_map(m, counterexample)
-            if counterexample.is_product_one():  # the forward scan failed
-                assert is_atom(counterexample)
-                assert not image.is_product_one()
-            else:  # the reverse scan failed
-                assert is_atom(image)
-    assert outcomes == {True, False}
-
-
-def test_reverse_counterexample_is_the_pull_back_of_a_shortest_failing_target_atom(
-        monkeypatch):
-    # No bijection fixing 1 between two catalog groups of equal order <= 9
-    # passes the forward scan and fails the reverse one at any cap up to
-    # their Davenport bound (all of them were tried), so the reverse branch
-    # is reached here by giving the source no atoms to scan: as if C8 -> Q8
-    # had passed forward.
-    g1, g2 = parse_group_spec("C8"), parse_group_spec("Q8")
-    atom_keys = isolab._atom_keys
-    monkeypatch.setattr(isolab, "_atom_keys", lambda group, cap, budget:
-                        {} if group is g1 else atom_keys(group, cap, budget))
-    for m in pair_keeping_maps(g1, g2, random.Random(7), 5):
-        for cap in range(3, 9):
-            ok, counterexample = _check_preserving_at(m, cap, None)
-            image = apply_map(m, counterexample)
-            assert not ok and not counterexample.is_product_one() and is_atom(image)
-            # the image is the least atom of Q8 that pulls back to a sequence
-            # that is not product-one
-            assert image == least_failing_atom(m.inverse(), cap, factorization._SHIFT)
-
-
-@pytest.mark.parametrize("spec1, spec2, cap, keep_pairs", [
-    ("D8", "Q8", 5, False), ("Q8", "D8", 5, False), ("C8", "Q8", 5, True),
-    ("Q8", "C8", 5, True), ("C4xC2", "D8", 5, False), ("D8", "D8", 5, True),
-    ("D10", "D10", 5, True), ("S3", "C6", 6, False)])
-def test_counterexample_is_the_least_failing_atom(spec1, spec2, cap, keep_pairs):
-    # the atoms of both engines come by (length, packed key): a non-abelian
-    # source reads them off its ball, an abelian one from the zero-sum-free walk.
-    # Random maps mostly fail on an inverse pair; maps that keep inverse pairs
-    # (where the two groups have as many involutions) fail on longer atoms.
-    g1, g2 = parse_group_spec(spec1), parse_group_spec(spec2)
-    rng = random.Random(cap)
-    maps = [GroupMap(g1, g2, tuple([0] + rng.sample(range(1, g2.order), g2.order - 1)))
-            for _ in range(4)]
-    if keep_pairs:
-        maps += pair_keeping_maps(g1, g2, rng, 4)
-    failures = 0
-    for m in maps:
-        ok, counterexample = _check_preserving_at(m, cap, None)
-        expected = least_failing_atom(m, cap, factorization._SHIFT)
-        if expected is None:  # no forward failure: preserving, or failing in reverse
-            assert ok or not counterexample.is_product_one()
-            continue
-        failures += 1
-        assert not ok and counterexample == expected
-    assert failures >= len(maps) - 1
+        for cap in range(1, top + 1):
+            b = BasisBijection(m)
+            ok = verify_preserving(b, cap)
+            assert ok == full_ball_preserves(m, cap), (m.images, cap)
+            assert b.verified_bound == (cap if ok else 0)
+            outcomes[ok] += 1
+    assert outcomes[True] and outcomes[False]
 
 
 @pytest.mark.parametrize("spec, automorphisms", [("C12", 4), ("C4xC2", 8)])
@@ -369,6 +296,26 @@ def test_check_assertions_accepts_small_davenport_bound():
     verify_preserving(b, 2)  # the Davenport bound of the pair
     report = check_assertions(b)
     assert report.classification == "isomorphism"
+
+
+def test_check_assertions_rejects_without_a_davenport_constant(monkeypatch):
+    def level_ball(group, cap):
+        raise AssertionError(f"ball of {group.label} built to {cap}")
+
+    monkeypatch.setattr(factorization, "_level_ball", level_ball)
+    rng = random.Random(1216)
+    # relabeled copies miss the per-group ball cache
+    for group in (relabeled_copy(dihedral(12), rng), relabeled_copy(dihedral(16), rng)):
+        for bound in (0, 1, 2):
+            with pytest.raises(ValueError, match="verified to length 3"):
+                check_assertions(BasisBijection(GroupMap.identity(group), bound))
+    # D(C1) = 1 and D(C2) = 2 are below 3, and they are the bounds needed
+    for order in (1, 2):
+        group = cyclic(order)
+        with pytest.raises(ValueError, match=f"verified to length {order}"):
+            check_assertions(BasisBijection(GroupMap.identity(group), order - 1))
+        report = check_assertions(BasisBijection(GroupMap.identity(group), order))
+        assert report.classification == "isomorphism" and report.all_passed
 
 
 def test_assertions_on_automorphism_and_inversion():
