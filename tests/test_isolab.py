@@ -250,6 +250,29 @@ def test_verify_preserving_agrees_with_a_full_ball_scan():
     assert outcomes[True] and outcomes[False]
 
 
+@pytest.mark.parametrize("spec1, spec2, cap, keep_pairs", [
+    ("D8", "Q8", 5, False), ("Q8", "D8", 5, False), ("C8", "Q8", 5, True),
+    ("Q8", "C8", 5, True), ("C4xC2", "D8", 5, False), ("D8", "D8", 5, True),
+    ("D10", "D10", 5, True), ("S3", "C6", 6, False)])
+def test_verify_preserving_decides_random_and_pair_keeping_maps(spec1, spec2, cap,
+                                                                keep_pairs):
+    # Random maps mostly fail on an inverse pair; maps that keep inverse pairs
+    # (where the two groups have as many involutions) pass length 2 and must
+    # be rejected deeper in the backtracking.
+    g1, g2 = parse_group_spec(spec1), parse_group_spec(spec2)
+    rng = random.Random(cap)
+    maps = [GroupMap(g1, g2, tuple([0] + rng.sample(range(1, g2.order), g2.order - 1)))
+            for _ in range(4)]
+    if keep_pairs:
+        maps += pair_keeping_maps(g1, g2, rng, 4)
+    failures = 0
+    for m in maps:
+        ok = verify_preserving(BasisBijection(m), cap)
+        assert ok == full_ball_preserves(m, cap), (m.images, cap)
+        failures += not ok
+    assert failures >= len(maps) - 1
+
+
 @pytest.mark.parametrize("spec, automorphisms", [("C12", 4), ("C4xC2", 8)])
 def test_abelian_pairs_build_no_ball(spec, automorphisms, monkeypatch):
     def level_ball(group, cap):
@@ -298,24 +321,27 @@ def test_check_assertions_accepts_small_davenport_bound():
     assert report.classification == "isomorphism"
 
 
-def test_check_assertions_rejects_without_a_davenport_constant(monkeypatch):
+@pytest.mark.parametrize("order", [12, 16])
+def test_check_assertions_rejects_without_a_davenport_constant(order, monkeypatch):
     def level_ball(group, cap):
         raise AssertionError(f"ball of {group.label} built to {cap}")
 
     monkeypatch.setattr(factorization, "_level_ball", level_ball)
-    rng = random.Random(1216)
-    # relabeled copies miss the per-group ball cache
-    for group in (relabeled_copy(dihedral(12), rng), relabeled_copy(dihedral(16), rng)):
-        for bound in (0, 1, 2):
-            with pytest.raises(ValueError, match="verified to length 3"):
-                check_assertions(BasisBijection(GroupMap.identity(group), bound))
+    # a relabeled copy misses the per-group ball cache
+    group = relabeled_copy(dihedral(order), random.Random(order))
+    for bound in (0, 1, 2):
+        with pytest.raises(ValueError, match="verified to length 3"):
+            check_assertions(BasisBijection(GroupMap.identity(group), bound))
+
+
+@pytest.mark.parametrize("order", [1, 2])
+def test_check_assertions_accepts_the_davenport_bound_below_3(order):
     # D(C1) = 1 and D(C2) = 2 are below 3, and they are the bounds needed
-    for order in (1, 2):
-        group = cyclic(order)
-        with pytest.raises(ValueError, match=f"verified to length {order}"):
-            check_assertions(BasisBijection(GroupMap.identity(group), order - 1))
-        report = check_assertions(BasisBijection(GroupMap.identity(group), order))
-        assert report.classification == "isomorphism" and report.all_passed
+    group = cyclic(order)
+    with pytest.raises(ValueError, match=f"verified to length {order}"):
+        check_assertions(BasisBijection(GroupMap.identity(group), order - 1))
+    report = check_assertions(BasisBijection(GroupMap.identity(group), order))
+    assert report.classification == "isomorphism" and report.all_passed
 
 
 def test_assertions_on_automorphism_and_inversion():
