@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
 # The checks that need only a bare interpreter and this checkout, no pytest:
 # the benchmark oracles' self-test, a short run of each benchmark workload,
-# two CLI runs in fresh processes and the C2xC2xC2xC2 self-pair oracle.
+# two CLI runs in fresh processes, the C2xC2xC2xC2 self-pair oracle and the
+# theorem on every pair of the 23-group catalog.
 #
 # Run from the repository root: bash .github/scripts/bare_checks.sh
 # Each check prints its name before it runs. Every check runs; the script
@@ -61,12 +62,31 @@ print(len(found), len(expected), passed)
 sys.exit(0 if found == expected and passed == len(reports) else 1)'
 }
 
+catalog_theorem() {
+  PYTHONPATH=src timeout 120 python3 -c '
+import resource, sys, time
+from prodone.groups import parse_group_spec
+from prodone.isolab import SMALL_GROUP_SPECS, verify_theorem
+started = time.monotonic()
+groups = [parse_group_spec(spec) for spec in SMALL_GROUP_SPECS]
+pairs = [(i, j) for i in range(len(groups)) for j in range(i, len(groups))]
+verdicts = [verify_theorem(groups[i], groups[j]) for i, j in pairs]
+inconsistent = sum(not v.consistent for v in verdicts)
+with_maps = {pair for pair, v in zip(pairs, verdicts) if v.bijections_found}
+print(f"{len(pairs)} pairs, {inconsistent} inconsistent, maps found on {len(with_maps)}, "
+      f"{time.monotonic() - started:.1f} s, "
+      f"ru_maxrss {resource.getrusage(resource.RUSAGE_SELF).ru_maxrss // 1024} MiB")
+self_pairs = {(i, i) for i in range(len(groups))}
+sys.exit(0 if len(pairs) == 276 and inconsistent == 0 and with_maps == self_pairs else 1)'
+}
+
 check "Benchmark oracle self-test" oracle_self_test
 check "Short benchmark run, checked against its oracles" short_run catalog_sweep
 check "Short sequence-query run, checked against its oracles" short_run sequence_queries
 check "compare D10 D10 answers at its default bound in a fresh process" compare_d10
 check "verify D12 D12 finds its 24 maps in a fresh process" verify_d12
 check "C2xC2xC2xC2 self-pair search finds its automorphisms and their twists, and every map passes the assertions" c2_4_self_pair
+check "verify_theorem is consistent on all 276 catalog pairs, and only the 23 self-pairs find maps" catalog_theorem
 
 if ((${#failed[@]})); then
   printf 'failed check: %s\n' "${failed[@]}"

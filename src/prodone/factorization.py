@@ -11,10 +11,11 @@ ordering of an atom the partial products before the end must be pairwise
 distinct (a repeat would cut out a proper product-one segment whose
 complement is product-one as well), so atoms never exceed length |G|.
 
-The atoms are cached with the ball. Over a non-abelian group they are read
-off it: a ball vector is an atom unless subtracting a shorter atom leaves
-another ball vector. Over an abelian group they come from a walk over the
-zero-sum-free sequences, and the ball is never built for them.
+The atoms are cached per group; no ball is. Over a non-abelian group they
+are read off a ball built for the purpose and dropped once they are known: a
+ball vector is an atom unless subtracting a shorter atom leaves another ball
+vector. Over an abelian group they come from a walk over the zero-sum-free
+sequences, and the ball is never built for them.
 """
 
 from __future__ import annotations
@@ -53,11 +54,12 @@ _SHIFT = 5          # bits per exponent slot in packed vectors
 _SLOT = (1 << _SHIFT) - 1
 
 _CACHE_LOCK = threading.Lock()
-# group -> its _Ball, least recently used first. A GroupTable is equal and
-# hashed by its table alone, so tables that differ only in names share an
-# entry. The bound keeps every group of the catalog sweep (17) resident.
-_BALL_CACHE: OrderedDict = OrderedDict()
-_BALL_CACHE_SIZE = 32
+# group -> (cap, its atoms to that cap), least recently used first. A
+# GroupTable is equal and hashed by its table alone, so tables that differ
+# only in names share an entry. The bound keeps every group of the catalog
+# sweep (17) resident.
+_ATOM_CACHE: OrderedDict = OrderedDict()
+_ATOM_CACHE_SIZE = 32
 
 
 _SHIFTS: dict = {}  # order -> the bit offsets of its slots
@@ -178,70 +180,21 @@ def _level_ball(group: GroupTable, cap: int) -> dict:
     return out
 
 
-class _Ball:
-    """The exact product-one ball of a group to ``cap`` and its atoms, each
-    computed on first read. An abelian group's atoms do not read the ball.
+def _budget_cap(group: GroupTable, max_len: int, budget: int | None) -> tuple:
+    """(upto, trip): the length to which a request is answered exactly.
 
-    Both atom sources give the atoms by (length, packed key), whatever order
-    the ball or the walk found them in, so a scan of the atoms, and the
-    counterexample it reports, does not depend on the source. The ball comes
-    by length too, level by level, so a cut below the cap is a prefix.
-    """
-
-    def __init__(self, group: GroupTable, cap: int):
-        self.group = group
-        self.cap = cap
-        self._vectors = self._atoms = None
-        self._cuts: dict = {}  # (upto, atoms?) -> the cut below the cap
-
-    @property
-    def vectors(self) -> dict:
-        if self._vectors is None:
-            self._vectors = _level_ball(self.group, self.cap)
-        return self._vectors
-
-    def atoms(self) -> dict:
-        if self._atoms is None:
-            if self.group.is_abelian:
-                self._atoms = _abelian_atoms(self.group, self.cap)
-            else:
-                self._atoms = _ball_atoms(self.vectors)
-        return self._atoms
-
-    def cut(self, upto: int, atoms: bool = False) -> dict:
-        """The ball, or its atoms, to length ``upto``. A cut below the cap is
-        the prefix of entries of length <= upto, made once and kept."""
-        whole = self.atoms() if atoms else self.vectors
-        if upto >= self.cap:
-            return whole
-        cut = self._cuts.get((upto, atoms))
-        if cut is None:
-            cut = self._cuts[upto, atoms] = dict(
-                takewhile(lambda item: item[1] <= upto, whole.items()))
-        return cut
-
-
-def _ball(group: GroupTable, max_len: int, budget: int | None) -> tuple:
-    """(entry, upto, trip): the cached ``_Ball`` to read to length ``upto``.
-
-    The cache keeps one ball per group, at the largest cap computed so far.
-    A ball the budget stops short of is exact to the cap it reached, so it is
-    cached like any other. The budget arithmetic runs on every call, cache
-    hit or not, so a request trips with the same ``attempted`` and partial
-    whatever ran before. ``trip`` is None when ``upto == max_len``, and
-    otherwise the unraised ``BudgetExceededError`` for the caller to complete
-    with its partial result and raise.
+    The budget caps the identity-free multisets of length <= upto. The
+    arithmetic depends on the group's order alone, so a request trips with
+    the same ``attempted`` and partial whatever the cache holds. ``trip`` is
+    None when ``upto == max_len``, and otherwise the unraised
+    ``BudgetExceededError`` for the caller to complete with its partial
+    result and raise.
     """
     if max_len < 0:
         raise ValueError(f"negative length bound {max_len}")
     budget = DEFAULT_SEARCH_BUDGET if budget is None else budget
-    with _CACHE_LOCK:
-        hit = _BALL_CACHE.get(group)
-        if hit is not None:
-            _BALL_CACHE.move_to_end(group)
     n = group.order
-    # the budget caps the identity-free multisets of length <= cap, of which
-    # there are C(n + l - 2, l) at each length l
+    # there are C(n + l - 2, l) identity-free multisets at each length l
     total = cap = 0
     if n == 1:
         cap = max_len  # the trivial group has no identity-free multisets
@@ -251,18 +204,9 @@ def _ball(group: GroupTable, max_len: int, budget: int | None) -> tuple:
     while cap < max_len and total + comb(n + cap - 1, cap + 1) <= budget:
         total += comb(n + cap - 1, cap + 1)
         cap += 1
-    if hit is None or hit.cap < cap:
-        hit = _Ball(group, cap)
-        with _CACHE_LOCK:
-            old = _BALL_CACHE.get(group)
-            if old is None or old.cap < cap:
-                _BALL_CACHE[group] = hit
-                _BALL_CACHE.move_to_end(group)
-                while len(_BALL_CACHE) > _BALL_CACHE_SIZE:
-                    _BALL_CACHE.popitem(last=False)
     if cap == max_len:
-        return hit, cap, None
-    return hit, cap, BudgetExceededError(
+        return cap, None
+    return cap, BudgetExceededError(
         f"product-one enumeration exceeded budget of {budget} states "
         f"at length {cap + 1}", attempted=total + comb(n + cap - 1, cap + 1),
         budget=budget)
@@ -271,13 +215,14 @@ def _ball(group: GroupTable, max_len: int, budget: int | None) -> tuple:
 def product_one_vectors(group: GroupTable, max_len: int, budget: int | None = None) -> dict:
     """Packed exponent vectors of all identity-free product-one sequences.
 
-    Maps packed vector -> length, for lengths 1..max_len; treat the result as
-    read-only. The budget is checked level by level before any enumeration,
-    so a trip at length l allocates nothing for that level and carries the
-    exact ball up to length l - 1.
+    Maps packed vector -> length, for lengths 1..max_len, by increasing
+    length. Each call builds the ball afresh and keeps nothing of it. The
+    budget is checked level by level before any enumeration, so a trip at
+    length l allocates nothing for that level and carries the exact ball up
+    to length l - 1.
     """
-    entry, upto, trip = _ball(group, max_len, budget)
-    ball = entry.cut(upto)
+    upto, trip = _budget_cap(group, max_len, budget)
+    ball = _level_ball(group, upto)
     if trip is not None:
         trip.partial = ball
         raise trip
@@ -346,11 +291,31 @@ def _ball_atoms(ball: dict) -> dict:
 def _atom_keys(group: GroupTable, max_len: int, budget: int | None) -> dict:
     """Identity-free atoms of length <= max_len, packed vector -> length.
 
-    Cached with the group's ball. A budget trip carries a non-exhaustive
-    catalog that holds every atom shorter than the length where it tripped.
+    Cached per group at the largest cap computed so far; a request below
+    that cap takes the length prefix of the cached atoms, which come by
+    (length, packed key). A non-abelian group's ball is built, read by
+    ``_ball_atoms`` and dropped. A budget trip caches the atoms to the cap
+    it reached, which are exact there, and carries a non-exhaustive catalog
+    that holds every atom shorter than the length where it tripped.
     """
-    entry, upto, trip = _ball(group, max_len, budget)
-    atoms = entry.cut(upto, atoms=True)
+    upto, trip = _budget_cap(group, max_len, budget)
+    with _CACHE_LOCK:
+        hit = _ATOM_CACHE.get(group)
+        if hit is not None:
+            _ATOM_CACHE.move_to_end(group)
+    if hit is None or hit[0] < upto:
+        hit = (upto, _abelian_atoms(group, upto) if group.is_abelian
+               else _ball_atoms(_level_ball(group, upto)))
+        with _CACHE_LOCK:
+            old = _ATOM_CACHE.get(group)
+            if old is None or old[0] < upto:
+                _ATOM_CACHE[group] = hit
+                _ATOM_CACHE.move_to_end(group)
+                while len(_ATOM_CACHE) > _ATOM_CACHE_SIZE:
+                    _ATOM_CACHE.popitem(last=False)
+    cap, atoms = hit
+    if upto < cap:
+        atoms = dict(takewhile(lambda item: item[1] <= upto, atoms.items()))
     if trip is not None:
         trip.partial = _catalog_from_keys(group, atoms, max_len, exhaustive=False)
         raise trip
@@ -501,10 +466,13 @@ def _catalog_from_keys(group: GroupTable, keys: dict, max_length: int,
 def enumerate_atoms(group: GroupTable, max_length: int, budget: int | None = None) -> AtomCatalog:
     """Exhaustive atom catalog up to ``max_length``.
 
-    Keeps the vectors of the product-one ball from which no atom of at most
-    half their length splits off (see ``_ball_atoms``). On budget exhaustion
-    the raised error carries a non-exhaustive catalog that holds every atom
-    shorter than the length where the budget tripped.
+    Over a non-abelian group the atoms are the vectors of the product-one
+    ball from which no atom of at most half their length splits off (see
+    ``_ball_atoms``), and the ball is dropped once they are read. Over an
+    abelian group they come from the zero-sum-free walk of
+    ``_abelian_atoms``. On budget exhaustion the raised error carries a
+    non-exhaustive catalog that holds every atom shorter than the length
+    where the budget tripped.
     """
     if max_length < 1:
         raise ValueError(f"max_length must be >= 1, got {max_length}")
@@ -602,7 +570,7 @@ def length_system(group: GroupTable, bound: int, budget: int | None = None) -> L
     - (1) is the only atom that contains the identity, so
       L(T·1^p) = L(T) + p: the identity paddings are shifts of the masks.
     - The packed addition R + a is exact, because no slot passes 31 within
-      the cap, which ``_ball`` keeps at most 31.
+      the cap, which ``_budget_cap`` keeps at most 31.
 
     A budget trip comes from ``_atom_keys`` and carries its partial catalog.
     """

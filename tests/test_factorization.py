@@ -2,8 +2,11 @@
 
 from __future__ import annotations
 
+import functools
+import gc
 import itertools
 import random
+import weakref
 from collections import Counter, OrderedDict
 from math import comb
 
@@ -12,7 +15,7 @@ import pytest
 from prodone import factorization
 from prodone.errors import BudgetExceededError, CatalogError, ParseError
 from prodone.factorization import (DEFAULT_SEARCH_BUDGET, AtomCatalog, _abelian_atoms,
-                                   _atom_keys, _Ball, _ball_atoms, _level_ball,
+                                   _atom_keys, _ball_atoms, _level_ball,
                                    _unpack, enumerate_atoms,
                                    factorizations, fingerprint, is_atom,
                                    large_davenport, length_system,
@@ -270,6 +273,21 @@ def test_length_system_matches_the_factorization_oracle_to_bound_5(spec):
     assert length_system(group, 6).sets == ((1,), (2,), (2, 3), (3,), (4,), (5,), (6,))
 
 
+def test_c3_and_klein_four_have_equal_length_systems_at_bounds_1_to_14():
+    """Pins the measured equality of the truncated systems as a regression
+    check, not as the theorem.
+
+    L(C3) = L(C2 + C2) holds for the untruncated systems (A. Geroldinger,
+    "Sets of lengths", Amer. Math. Monthly 123 (2016)). That a truncation
+    at a common bound keeps the equality is what was measured, at every
+    bound from 1 to 14.
+    """
+    c3, klein = parse_group_spec("C3"), parse_group_spec("C2xC2")
+    for bound in range(1, 15):
+        assert length_system(c3, bound) == length_system(klein, bound), bound
+    assert (4, 5, 6) in length_system(c3, 14)  # not only singletons
+
+
 @pytest.mark.parametrize("spec", SMALL_GROUP_SPECS)
 def test_sets_of_lengths_at_the_davenport_bound_have_elasticity_at_most_d_over_2(spec):
     # (1) has length 1 and every other atom length 2 to D, so a sequence of
@@ -393,7 +411,9 @@ def test_pinned_counts_cover_the_catalog():
 
 @pytest.mark.parametrize("spec, cap, balls, atoms", PINNED_COUNTS,
                          ids=[spec for spec, _, _, _ in PINNED_COUNTS])
-def test_ball_and_atom_counts_per_length_are_pinned(spec, cap, balls, atoms):
+def test_ball_and_atom_counts_per_length_are_pinned(spec, cap, balls, atoms, monkeypatch):
+    # no ball is kept between calls, so the test shares one between its two
+    monkeypatch.setattr(factorization, "_level_ball", functools.cache(_level_ball))
     group = parse_group_spec(spec)
     ball = Counter(product_one_vectors(group, cap).values())
     found = Counter(_atom_keys(group, cap, None).values())
@@ -416,7 +436,7 @@ def test_ball_atoms_match_is_atom(spec):
     ball = product_one_vectors(group, cap)
     expected = is_atom_filter(group, ball)
     assert _ball_atoms(ball) == expected
-    # smaller caps read the atoms cached with the ball, filtered by length
+    # smaller caps read the length prefix of the cached atoms
     for c in range(1, cap + 1):
         assert _atom_keys(group, c, None) == {k: ln for k, ln in expected.items() if ln <= c}
 
@@ -446,7 +466,7 @@ def test_abelian_atoms_match_the_lookup_atoms_and_is_atom(spec, relabeled):
 def test_ball_atoms_of_the_partial_ball_of_a_budget_trip():
     group = relabeled_copy(parse_group_spec("Q8"), random.Random(8))
     trips = []
-    for _ in range(2):  # the second trip reads the partial ball the first one cached
+    for _ in range(2):  # no call keeps a ball, so the second trip builds it again
         with pytest.raises(BudgetExceededError) as err:
             product_one_vectors(group, 6, budget=300)
         trips.append((err.value.attempted, err.value.partial))
@@ -573,17 +593,22 @@ def test_product_one_vectors_budget_and_cache():
 
 
 @pytest.mark.parametrize("spec, cap", [("S3", 6), ("Q8", 8), ("D10", 10), ("C12", 8)])
-def test_a_cut_below_the_cap_is_the_filtered_ball(spec, cap):
-    entry = _Ball(parse_group_spec(spec), cap)
-    for atoms, whole in ((False, entry.vectors), (True, entry.atoms())):
-        assert entry.cut(cap, atoms) is whole
+def test_a_cut_below_the_cap_is_the_filtered_ball(spec, cap, monkeypatch):
+    cache = OrderedDict()
+    monkeypatch.setattr(factorization, "_ATOM_CACHE", cache)
+    group = parse_group_spec(spec)
+    atoms = _atom_keys(group, cap, None)
+    assert cache[group] == (cap, atoms)
+    for compute in (product_one_vectors, lambda g, c: _atom_keys(g, c, None)):
+        whole = list(compute(group, cap).items())
         for upto in range(cap):
-            cut = entry.cut(upto, atoms)
-            assert list(cut.items()) == [(k, ln) for k, ln in whole.items() if ln <= upto]
-            assert entry.cut(upto, atoms) is cut  # made once
+            # a fresh ball below the cap, or the prefix of the cached atoms
+            assert list(compute(group, upto).items()) == [(k, ln) for k, ln in whole
+                                                          if ln <= upto]
+    assert _atom_keys(group, cap, None) is atoms
 
 
-# each answer reads the ball cache, at a cap below |G| and at |G|
+# each answer reads the atom cache or builds a ball, at a cap below |G| and at |G|
 BALL_QUERIES = (
     lambda g: list(product_one_vectors(g, 4).items()),
     lambda g: list(product_one_vectors(g, g.order).items()),
@@ -597,7 +622,7 @@ BALL_QUERIES = (
 @pytest.mark.parametrize("state", ["cold", "warm", "evicted"])
 def test_no_ball_cache_state_changes_an_answer(state, monkeypatch):
     cache = OrderedDict()
-    monkeypatch.setattr(factorization, "_BALL_CACHE", cache)
+    monkeypatch.setattr(factorization, "_ATOM_CACHE", cache)
     # D8 reads its atoms off the ball, C6 finds them by the zero-sum-free walk
     groups = [parse_group_spec(spec) for spec in ("S3", "D8", "C6", "Q8")]
     expected = []
@@ -611,22 +636,53 @@ def test_no_ball_cache_state_changes_an_answer(state, monkeypatch):
             for group in groups:
                 query(group)
     elif state == "evicted":
-        monkeypatch.setattr(factorization, "_BALL_CACHE_SIZE", 1)
+        monkeypatch.setattr(factorization, "_ATOM_CACHE_SIZE", 1)
     assert [query(group) for query in BALL_QUERIES for group in groups] == expected
     assert len(cache) == (1 if state == "evicted" else len(groups))
 
 
 def test_ball_cache_evicts_the_least_recently_used_group(monkeypatch):
     cache = OrderedDict()
-    monkeypatch.setattr(factorization, "_BALL_CACHE", cache)
-    monkeypatch.setattr(factorization, "_BALL_CACHE_SIZE", 2)
+    monkeypatch.setattr(factorization, "_ATOM_CACHE", cache)
+    monkeypatch.setattr(factorization, "_ATOM_CACHE_SIZE", 2)
     a, b, c = (parse_group_spec(spec) for spec in ("C3", "C4", "C5"))
     for group in (a, b, a, c):
-        product_one_vectors(group, 3)
+        enumerate_atoms(group, 3)
+    assert list(cache) == [a, c]
+    product_one_vectors(b, 3)  # a ball is not cached
     assert list(cache) == [a, c]
     monkeypatch.undo()
     # the catalog sweep of the benchmark meets 17 groups; none may be evicted
-    assert factorization._BALL_CACHE_SIZE >= 32
+    assert factorization._ATOM_CACHE_SIZE >= 32
+
+
+class _Referable(dict):
+    """A ball that a weak reference can point at."""
+
+
+def test_no_ball_outlives_the_call_that_built_it(monkeypatch):
+    monkeypatch.setattr(factorization, "_ATOM_CACHE", OrderedDict())
+    refs = []
+
+    def level_ball(group, cap):
+        ball = _Referable(_level_ball(group, cap))
+        refs.append(weakref.ref(ball))
+        return ball
+
+    monkeypatch.setattr(factorization, "_level_ball", level_ball)
+    d8 = parse_group_spec("D8")
+    assert large_davenport(d8) == 6
+    enumerate_atoms(parse_group_spec("Q8"), 6)
+    length_system(symmetric(3), 6)
+    ball = product_one_vectors(dihedral(10), 6)
+    assert isinstance(ball, _Referable)
+    del ball
+    gc.collect()
+    assert len(refs) == 4
+    assert [ref() for ref in refs] == [None] * 4
+    # an equal table reads the cached atoms and builds no ball
+    assert large_davenport(GroupTable(d8.table)) == 6
+    assert len(refs) == 4
 
 
 def _trip(call):
@@ -642,7 +698,9 @@ def test_budget_trips_alike_whatever_the_cache_holds(compute):
         group = relabeled_copy(parse_group_spec(spec), random.Random(41))  # not cached yet
         cold = _trip(lambda: compute(group, 6, budget=100))
         assert cold[0] == 7 + 28 + 84  # lengths 1 and 2 fit, length 3 does not
-        compute(group, 6)  # the default budget caches the ball to length 6
+        compute(group, 6)
+        enumerate_atoms(group, 6)  # the default budget caches the atoms to length 6
+        assert factorization._ATOM_CACHE[group][0] == 6
         warm = _trip(lambda: compute(group, 6, budget=100))
         twin = GroupTable(group.table)  # equal table, so it reads the same cache entry
         assert twin == group and twin is not group

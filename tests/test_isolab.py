@@ -172,7 +172,7 @@ def test_verify_preserving_builds_no_ball(monkeypatch):
 
     monkeypatch.setattr(factorization, "_level_ball", level_ball)
     monkeypatch.setattr(isolab, "large_davenport", davenport)
-    # a relabeled copy misses the per-group ball cache
+    # a relabeled copy misses the per-group atom cache
     g = relabeled_copy(dihedral(8), random.Random(31))
     inv = BasisBijection(GroupMap.inversion(g))
     assert verify_preserving(inv, 6)
@@ -280,7 +280,7 @@ def test_abelian_pairs_build_no_ball(spec, automorphisms, monkeypatch):
 
     monkeypatch.setattr(factorization, "_level_ball", level_ball)
     rng = random.Random(automorphisms)
-    # relabeled copies miss the per-group ball cache
+    # relabeled copies miss the per-group atom cache
     g1 = relabeled_copy(parse_group_spec(spec), rng)
     g2 = relabeled_copy(parse_group_spec(spec), rng)
     verdict = verify_theorem(g1, g2)
@@ -288,7 +288,7 @@ def test_abelian_pairs_build_no_ball(spec, automorphisms, monkeypatch):
 
 
 def test_verify_theorem_labels_a_davenport_trip_and_keeps_its_catalog():
-    # a relabeled copy misses the per-group ball cache
+    # a relabeled copy misses the per-group atom cache
     d12 = relabeled_copy(dihedral(12), random.Random(12))
     with pytest.raises(BudgetExceededError) as err:
         verify_theorem(d12, parse_group_spec("A4"), budget=10000)
@@ -327,7 +327,7 @@ def test_check_assertions_rejects_without_a_davenport_constant(order, monkeypatc
         raise AssertionError(f"ball of {group.label} built to {cap}")
 
     monkeypatch.setattr(factorization, "_level_ball", level_ball)
-    # a relabeled copy misses the per-group ball cache
+    # a relabeled copy misses the per-group atom cache
     group = relabeled_copy(dihedral(order), random.Random(order))
     for bound in (0, 1, 2):
         with pytest.raises(ValueError, match="verified to length 3"):

@@ -47,7 +47,7 @@ NON_ABELIAN = ["S3", "D8", "Q8", "D10", "Dic12", "A4"]
        st.integers(min_value=1, max_value=7))
 def test_relabeling_keeps_ball_counts_and_the_opposite_group_keeps_the_ball(spec, rng, cap):
     group = parse_group_spec(spec)
-    twin = relabeled_copy(group, rng)  # a new table, so it misses the ball cache
+    twin = relabeled_copy(group, rng)
     ball = product_one_vectors(twin, cap)
     assert Counter(ball.values()) == Counter(product_one_vectors(group, cap).values())
     # reversing an ordering of S reverses its product in G^op, and 1 reversed is 1
