@@ -1,8 +1,10 @@
 #!/usr/bin/env bash
 # The checks that need only a bare interpreter and this checkout, no pytest:
 # the benchmark oracles' self-test, a short run of each benchmark workload,
-# two CLI runs in fresh processes, the C2xC2xC2xC2 self-pair oracle and the
-# theorem on every pair of the 23-group catalog.
+# two CLI runs in fresh processes, the golden CLI runs of
+# tests/golden_cli.json replayed byte for byte in fresh processes, the
+# C2xC2xC2xC2 self-pair oracle and the theorem on every pair of the 23-group
+# catalog.
 #
 # Run from the repository root: bash .github/scripts/bare_checks.sh
 # Each check prints its name before it runs. Every check runs; the script
@@ -46,6 +48,10 @@ verify_d12() {
     | python3 -c 'import json, sys; r = json.load(sys.stdin); print(r["bijections_found"], r["consistent"], r["all_classified"]); sys.exit(0 if r["bijections_found"] == 24 and r["consistent"] is True and r["all_classified"] is True else 1)'
 }
 
+golden_cli() {
+  timeout 300 python3 tests/golden_cli.py --replay --timeout 60
+}
+
 c2_4_self_pair() {
   PYTHONPATH=src:tests timeout 120 python3 -c '
 import sys
@@ -85,6 +91,7 @@ check "Short benchmark run, checked against its oracles" short_run catalog_sweep
 check "Short sequence-query run, checked against its oracles" short_run sequence_queries
 check "compare D10 D10 answers at its default bound in a fresh process" compare_d10
 check "verify D12 D12 finds its 24 maps in a fresh process" verify_d12
+check "Every golden CLI run gives the same exit code, stdout and stderr in a fresh process" golden_cli
 check "C2xC2xC2xC2 self-pair search finds its automorphisms and their twists, and every map passes the assertions" c2_4_self_pair
 check "verify_theorem is consistent on all 276 catalog pairs, and only the 23 self-pairs find maps" catalog_theorem
 

@@ -10,8 +10,8 @@ import pytest
 
 from prodone import cli
 from prodone.cli import main
-from prodone.errors import ParseError
-from prodone.factorization import AtomCatalog
+from prodone.errors import CatalogError, ParseError
+from prodone.factorization import AtomCatalog, _lines_digest
 from prodone.groups import GroupTable, dihedral, symmetric
 
 
@@ -313,6 +313,60 @@ def test_corrupt_cache_file_is_ignored_and_rewritten(capsys, tmp_path, corrupt):
     assert run(capsys, *args)[:2] == (0, cold)
     assert path.read_text(encoding="ascii") == text
     AtomCatalog.load(path, symmetric(3))
+
+
+def _with_digest(text: str, edit) -> str:
+    """``edit`` applied to the lines of a saved catalog, with the digest of the
+    edited lines recomputed, so the file passes the digest check."""
+    lines = [ln for ln in text.splitlines() if not ln.startswith("digest ")]
+    lines = edit(lines)
+    at = next(i for i, ln in enumerate(lines) if ln.startswith("atom "))
+    return "\n".join(lines[:at] + [f"digest {_lines_digest(lines)}"] + lines[at:]) + "\n"
+
+
+def _replace_line(old, new):
+    return lambda lines: [new if ln == old else ln for ln in lines]
+
+
+# each one is caught by a check after the digest, with this error and message
+DIGESTED_CORRUPTIONS = {
+    "missing field": (lambda lines: [ln for ln in lines if ln != "order 6"],
+                      ParseError, "catalog missing field 'order'"),
+    "non-integer field": (_replace_line("max_length 6", "max_length six"),
+                          ParseError, "non-integer field in catalog {path}"),
+    "order mismatch": (_replace_line("order 6", "order 7"),
+                       CatalogError, "catalog order 7 != group order 6"),
+    "exhaustive 2": (_replace_line("exhaustive 1", "exhaustive 2"),
+                     ParseError, "catalog exhaustive flag 2 is not 0 or 1"),
+    "wrong record width": (_replace_line("atom 1 1 0 0 0 0 0", "atom 1 1 0 0 0 0"),
+                           ParseError,
+                           "atom record has 6 fields, expected a length and 6 exponents"),
+    "negative multiplicity": (_replace_line("atom 1 1 0 0 0 0 0", "atom 1 2 -1 0 0 0 0"),
+                              ParseError,
+                              "atom record has a negative multiplicity: [2, -1, 0, 0, 0, 0]"),
+    "length not matching its vector": (_replace_line("atom 1 1 0 0 0 0 0", "atom 2 1 0 0 0 0 0"),
+                                       ParseError,
+                                       "atom record length 2 does not match its vector"),
+}
+
+
+@pytest.mark.parametrize("edit, error, message", list(DIGESTED_CORRUPTIONS.values()),
+                         ids=list(DIGESTED_CORRUPTIONS))
+def test_catalog_checks_behind_the_digest(capsys, tmp_path, edit, error, message):
+    args = ("atoms", "S3", "--cache-dir", str(tmp_path))
+    code, cold, _ = run(capsys, *args)
+    assert code == 0
+    [path] = tmp_path.glob("*.atoms")
+    text = path.read_text(encoding="ascii")
+    broken = _with_digest(text, edit)
+    assert broken != text
+    assert _with_digest(text, lambda lines: lines) == text
+    path.write_text(broken, encoding="ascii")
+    with pytest.raises(error) as err:
+        AtomCatalog.load(path, symmetric(3))
+    assert str(err.value) == message.format(path=path)
+    assert run(capsys, *args)[:2] == (0, cold)
+    assert path.read_text(encoding="ascii") == text
 
 
 def test_edited_header_is_recomputed_not_trusted(capsys, tmp_path):

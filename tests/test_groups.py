@@ -338,6 +338,99 @@ def test_from_table_default_names():
     assert g.name_of(1) == "g1"
 
 
+def _table_text(rows, names=()) -> str:
+    lines = [str(len(rows))] + [" ".join(map(str, row)) for row in rows]
+    return "\n".join(lines + [f"name {i} {s}" for i, s in names])
+
+
+def test_from_table_relabels_with_names_for_only_some_elements():
+    s3 = symmetric(3)
+    # S3 with its elements 0 and 3 trading ids, so the identity is listed at index 3
+    swap = [3, 1, 2, 0, 4, 5]
+    rows = [[swap[s3.mul(swap[a], swap[b])] for b in range(6)] for a in range(6)]
+    g = from_table(_table_text(rows, [(3, "e"), (1, "r")]), label="S3'")
+    assert g.table == s3.table
+    # an unnamed element keeps the default name of its index in the text
+    assert g.names == ("e", "r", "g2", "g0", "g4", "g5")
+    assert g.label == "S3'"
+    # with no name lines the defaults follow the new ids
+    assert from_table(_table_text(rows)).names == tuple(f"g{i}" for i in range(6))
+    c2 = from_table("2\n1 0\n0 1")
+    assert c2.table == ((0, 1), (1, 0)) and c2.names == ("g0", "g1")
+
+
+@pytest.mark.parametrize("spec", ["C5", "S3", "D8", "Q8", "C2xC6", "A4"])
+def test_from_table_moves_only_the_identity_on_seeded_relabelings(spec):
+    group = parse_group_spec(spec)
+    rng = random.Random(spec)
+    n = group.order
+    perm = rng.sample(range(n), n)  # the identity lands anywhere
+    rows = [[0] * n for _ in range(n)]
+    for a in range(n):
+        for b in range(n):
+            rows[perm[a]][perm[b]] = perm[group.mul(a, b)]
+    e = perm[0]
+    new = {x: x for x in range(n)}
+    new[0], new[e] = e, 0
+    expected = [[0] * n for _ in range(n)]
+    for a in range(n):
+        for b in range(n):
+            expected[new[a]][new[b]] = new[rows[a][b]]
+    named = sorted(rng.sample(range(n), n // 2))
+    g = from_table(_table_text(rows, [(i, f"x{i}") for i in named]))
+    assert g.table == tuple(map(tuple, expected))
+    assert g.names == tuple(f"x{new[i]}" if new[i] in named else f"g{new[i]}"
+                            for i in range(n))
+    assert find_group_isomorphisms(group, g, limit=1)
+
+
+FROM_TABLE_REJECTIONS = [
+    ("", ParseError, "empty table text"),
+    ("# only a comment\n\n", ParseError, "empty table text"),
+    ("two\n0 1\n1 0", ParseError, "first line must be the order, got 'two'"),
+    ("0", ParseError, "order must be positive, got 0"),
+    ("2\n0 1", ParseError, "expected 2 table rows, found 1"),
+    ("2\n0 x\n1 0", ParseError, "bad table row '0 x'"),
+    ("2\n0 1 1\n1 0", ParseError, "table row '0 1 1' has 3 entries, expected 2"),
+    ("2\n0 1\n1 0\nlabel 0 e", ParseError,
+     "bad trailing line 'label 0 e'; expected 'name <index> <label>'"),
+    ("2\n0 1\n1 0\nname one e", ParseError, "bad element index in 'name one e'"),
+    ("2\n0 1\n1 0\nname 2 e", ParseError, "name index 2 outside 0..1"),
+    ("2\n0 2\n1 0", GroupTableError, "table entry 2 outside 0..1"),
+    ("2\n0 1\n0 1", GroupTableError, "table has no two-sided identity element"),
+]
+
+
+@pytest.mark.parametrize("text, error, message", FROM_TABLE_REJECTIONS)
+def test_from_table_rejections(text, error, message):
+    with pytest.raises(error) as err:
+        from_table(text)
+    assert str(err.value) == message
+
+
+def test_right_identity_is_checked():
+    with pytest.raises(GroupTableError) as err:
+        GroupTable([[0, 1], [0, 1]])
+    assert str(err.value) == "element 0 is not a right identity: 1*0 = 0"
+
+
+@pytest.mark.parametrize("rows, message", [
+    # every row a permutation; column 1 holds 2 twice
+    ([[0, 1, 2, 3], [1, 2, 3, 0], [2, 3, 0, 1], [3, 2, 1, 0]],
+     "column 1 repeats element 2 at cell (3, 1)"),
+    # columns 1 and 2 both repeat; the lower column is named, at its first repeat
+    ([[0, 1, 2, 3], [1, 3, 0, 2], [2, 3, 0, 1], [3, 0, 1, 2]],
+     "column 1 repeats element 3 at cell (2, 1)"),
+    # a repeating row is named before any column, whatever their places
+    ([[0, 1, 2, 3], [1, 2, 3, 0], [2, 3, 0, 1], [3, 2, 1, 1]],
+     "row 3 repeats element 1 at cell (3, 3)"),
+])
+def test_latin_check_names_the_first_repeat(rows, message):
+    with pytest.raises(GroupTableError) as err:
+        GroupTable(rows)
+    assert str(err.value) == message
+
+
 def test_parse_group_spec_families():
     for spec, order in [("C1", 1), ("C7", 7), ("D8", 8), ("Dic12", 12),
                         ("S4", 24), ("A4", 12), ("Q8", 8), ("C2xC3", 6),
