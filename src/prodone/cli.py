@@ -82,14 +82,6 @@ def _catalog_for(group: GroupTable, needed: int, cache_dir: str,
     return catalog
 
 
-def _listify(value):
-    if isinstance(value, (list, tuple)):
-        return [_listify(v) for v in value]
-    if isinstance(value, dict):
-        return {k: _listify(v) for k, v in value.items()}
-    return value
-
-
 def _table(rows) -> str:
     widths = [max(len(str(r[c])) for r in rows) for c in range(len(rows[0]))]
     lines = []
@@ -112,7 +104,7 @@ def _cmd_group_info(args) -> CommandResult:
         "group": group.label,
         "order": group.order,
         "abelian": group.is_abelian,
-        "order_census": _listify(census),
+        "order_census": census,
         "commutator_size": group.order // quotient.order,
         "abelianization": ab_label,
     }
@@ -162,7 +154,7 @@ def _cmd_atoms(args) -> CommandResult:
     catalog = _catalog_for(group, bound, _cache_dir(args), args.budget)
     counts = sorted(catalog.counts().items())
     payload = {"command": "atoms", "group": group.label, "max_length": bound,
-               "exhaustive": catalog.exhaustive, "counts": _listify(counts),
+               "exhaustive": catalog.exhaustive, "counts": counts,
                "total": sum(c for _, c in counts)}
     rows = [["length", "atoms"]] + [[ln, c] for ln, c in counts]
     tail = (f"total {sum(c for _, c in counts)}  "
@@ -188,7 +180,7 @@ def _cmd_lengths(args) -> CommandResult:
     lengths = tuple(sorted({len(f) for f in factors}))
     count = len(factors)
     payload = {"command": "lengths", "group": group.label, "sequence": seq.text(),
-               "lengths": _listify(lengths), "factorizations": count}
+               "lengths": lengths, "factorizations": count}
     human = _table([["sequence", seq.text()],
                     ["lengths", " ".join(str(x) for x in lengths)],
                     ["factorizations", count]])
@@ -200,7 +192,7 @@ def _cmd_length_system(args) -> CommandResult:
     bound = args.bound if args.bound is not None else large_davenport(group, args.budget)
     system = length_system(group, bound, args.budget)
     payload = {"command": "length-system", "group": group.label, "bound": bound,
-               "sets": _listify(system.sets)}
+               "sets": system.sets}
     lines = [" ".join(str(x) for x in s) for s in system.sets]
     return CommandResult(payload, "\n".join(lines))
 
@@ -215,7 +207,7 @@ def _cmd_verify(args) -> CommandResult:
         for outcome in report.outcomes:
             entry = {"status": outcome.status}
             if outcome.counterexample is not None:
-                entry["counterexample"] = _listify(outcome.counterexample)
+                entry["counterexample"] = outcome.counterexample
             assertions[outcome.name] = entry
         bijections.append({
             "images": [g2.name_of(y) for y in b.map.images],
@@ -260,7 +252,7 @@ def _cmd_compare(args) -> CommandResult:
         "bound": bound,
         "distinguishes": report.distinguishes,
         "comparisons": [{"invariant": c.name, "status": c.status,
-                         "value1": _listify(c.value1), "value2": _listify(c.value2)}
+                         "value1": c.value1, "value2": c.value2}
                         for c in report.comparisons],
     }
     rows = [["invariant", "status", report.group1, report.group2]]

@@ -265,23 +265,18 @@ def _validate_identity(rows) -> None:
 
 
 def _validate_latin(rows) -> None:
-    n = len(rows)
-    full = list(range(n))
-    for a, row in enumerate(rows):
-        if sorted(row) != full:
-            seen = set()
-            for b, x in enumerate(row):
-                if x in seen:
-                    raise GroupTableError(f"row {a} repeats element {x} at cell ({a}, {b})")
-                seen.add(x)
-    for b in range(n):
-        col = [rows[a][b] for a in range(n)]
-        if sorted(col) != full:
-            seen = set()
-            for a, x in enumerate(col):
-                if x in seen:
-                    raise GroupTableError(f"column {b} repeats element {x} at cell ({a}, {b})")
-                seen.add(x)
+    """Every row, then every column, is a permutation; the first repeat
+    found is named by its cell (row, column)."""
+    full = list(range(len(rows)))
+    for kind, lines in (("row", rows), ("column", zip(*rows))):
+        for i, line in enumerate(lines):
+            if sorted(line) != full:
+                seen = set()
+                for j, x in enumerate(line):
+                    if x in seen:
+                        cell = (i, j) if kind == "row" else (j, i)
+                        raise GroupTableError(f"{kind} {i} repeats element {x} at cell {cell}")
+                    seen.add(x)
 
 
 def _walk(rows, candidates) -> tuple:
@@ -554,7 +549,6 @@ def from_table(text: str, label: str | None = None) -> GroupTable:
         if len(row) != n:
             raise ParseError(f"table row {ln!r} has {len(row)} entries, expected {n}")
         rows.append(row)
-    names = None
     name_map = {}
     for ln in lines[1 + n:]:
         toks = ln.split()
@@ -579,21 +573,13 @@ def from_table(text: str, label: str | None = None) -> GroupTable:
             break
     if ident is None:
         raise GroupTableError("table has no two-sided identity element")
-    perm = list(range(n))
-    if ident != 0:
-        perm[0], perm[ident] = perm[ident], perm[0]
-    # perm maps old index -> new index after the swap applied both ways
-    old_of_new = perm  # swapping is an involution
-    new_of_old = perm
-    relabeled = [[0] * n for _ in range(n)]
-    for a in range(n):
-        for b in range(n):
-            relabeled[new_of_old[a]][new_of_old[b]] = new_of_old[rows[a][b]]
-    if name_map:
-        names = tuple(name_map.get(old_of_new[i], f"g{old_of_new[i]}") for i in range(n))
-    else:
-        names = tuple(f"g{i}" for i in range(n))
-    return GroupTable(tuple(tuple(r) for r in relabeled), names=names, label=label or f"G{n}")
+    # swapping 0 and the identity is its own inverse: swap maps new ids to old and back
+    swap = list(range(n))
+    swap[0], swap[ident] = ident, 0
+    relabeled = [[swap[rows[a][b]] for b in swap] for a in swap]
+    # name lines use ids of the text; with none, GroupTable names by the new ids
+    names = [name_map.get(old, f"g{old}") for old in swap] if name_map else None
+    return GroupTable(relabeled, names=names, label=label or f"G{n}")
 
 
 _SPEC_FACTOR = re.compile(r"^(C|D|Dic|S|A)(\d+)$|^(Q8)$")
@@ -708,8 +694,9 @@ def find_group_isomorphisms(g1: GroupTable, g2: GroupTable, limit: int | None = 
 
     Backtracks over images of a greedy generating sequence (candidates must
     match element orders), extends each assignment to the whole group along a
-    BFS word tree, then verifies the homomorphism law in full. With ``limit``
-    set, the search stops after the first ``limit`` maps.
+    BFS word tree, and keeps the maps that ``GroupMap`` finds bijective and
+    homomorphic. With ``limit`` set, the search stops after the first
+    ``limit`` maps.
 
     The maps come out already sorted, so stopping early keeps the first
     ``limit`` of the full list. The generators g_0 < g_1 < ... are each the
@@ -742,26 +729,19 @@ def find_group_isomorphisms(g1: GroupTable, g2: GroupTable, limit: int | None = 
         by_order.setdefault(g2.element_order(y), []).append(y)
     candidates = [by_order.get(g1.element_order(g), []) for g in gens]
 
-    t1, t2 = g1.table, g2.table
+    t2 = g2.table
     found = []
     for choice in itertools.product(*candidates):
         if len(found) == limit:
             break
         images = [0] * n
-        ok = True
         for x in bfs[1:]:
             a, gi = expr[x]
             images[x] = t2[images[a]][choice[gi]]
-        if len(set(images)) != n:
-            continue
-        for a in range(n):
-            ta, ra = t1[a], t2[images[a]]
-            if any(images[ta[b]] != ra[images[b]] for b in range(n)):
-                ok = False
-                break
-        if ok:
-            found.append(tuple(images))
-    return [GroupMap(g1, g2, images) for images in found]
+        m = GroupMap(g1, g2, images)
+        if m.is_bijective() and m.is_homomorphism():
+            found.append(m)
+    return found
 
 
 # -- abelian structure ------------------------------------------------------------
