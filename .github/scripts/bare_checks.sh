@@ -49,7 +49,7 @@ verify_d12() {
 }
 
 golden_cli() {
-  timeout 300 python3 tests/golden_cli.py --replay --timeout 60
+  timeout 300 python3 tests/golden_cli.py --replay
 }
 
 c2_4_self_pair() {

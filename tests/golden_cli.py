@@ -27,6 +27,7 @@ import tempfile
 HERE = os.path.dirname(os.path.abspath(__file__))
 GOLDEN_PATH = os.path.join(HERE, "golden_cli.json")
 SRC = os.path.join(os.path.dirname(HERE), "src")
+RUN_TIMEOUT = 60  # seconds per run
 
 RUNS = [
     argv + fmt
@@ -52,13 +53,13 @@ RUNS = [
 ]
 
 
-def run_fresh(argv, timeout: float) -> dict:
+def run_fresh(argv) -> dict:
     """One run of ``python3 -m prodone.cli`` in a new process with an empty cache."""
     env = dict(os.environ)
     env["PYTHONPATH"] = SRC + (os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else "")
     with tempfile.TemporaryDirectory(prefix="prodone-golden-") as cache:
         done = subprocess.run([sys.executable, "-m", "prodone.cli", *argv, "--cache-dir", cache],
-                              capture_output=True, text=True, env=env, timeout=timeout)
+                              capture_output=True, text=True, env=env, timeout=RUN_TIMEOUT)
     return {"argv": list(argv), "code": done.returncode, "stdout": done.stdout,
             "stderr": done.stderr}
 
@@ -73,10 +74,9 @@ def main() -> int:
     mode = parser.add_mutually_exclusive_group(required=True)
     mode.add_argument("--write", action="store_true", help="regenerate golden_cli.json")
     mode.add_argument("--replay", action="store_true", help="check every run against it")
-    parser.add_argument("--timeout", type=float, default=60.0, help="seconds per run")
     args = parser.parse_args()
     if args.write:
-        records = [run_fresh(argv, args.timeout) for argv in RUNS]
+        records = [run_fresh(argv) for argv in RUNS]
         with open(GOLDEN_PATH, "w", encoding="utf-8") as fh:
             json.dump(records, fh, indent=1, sort_keys=True)
             fh.write("\n")
@@ -85,7 +85,7 @@ def main() -> int:
     differ = []
     records = load()
     for record in records:
-        if run_fresh(record["argv"], args.timeout) != record:
+        if run_fresh(record["argv"]) != record:
             differ.append(record["argv"])
             print(f"differs: {record['argv']}")
     print(f"{len(records) - len(differ)} of {len(records)} runs match")
