@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
 # The checks that need only a bare interpreter and this checkout, no pytest:
 # the benchmark oracles' self-test, a short run of each benchmark workload,
-# two CLI runs in fresh processes, the golden CLI runs of
+# two CLI runs in fresh processes, a cold and a warm `atoms S4 --max 6` on
+# one cache directory, the golden CLI runs of
 # tests/golden_cli.json replayed byte for byte in fresh processes, the
 # C2xC2xC2xC2 self-pair oracle and the theorem on every pair of the 23-group
 # catalog.
@@ -48,6 +49,31 @@ verify_d12() {
     | python3 -c 'import json, sys; r = json.load(sys.stdin); print(r["bijections_found"], r["consistent"], r["all_classified"]); sys.exit(0 if r["bijections_found"] == 24 and r["consistent"] is True and r["all_classified"] is True else 1)'
 }
 
+atoms_s4_cold_warm() {
+  local cache
+  cache=$(mktemp -d)
+  PYTHONPATH=src timeout 120 python3 -c '
+import glob, hashlib, json, os, subprocess, sys, time
+cache = sys.argv[1]
+argv = [sys.executable, "-m", "prodone.cli", "atoms", "S4", "--max", "6",
+        "--format", "structured", "--cache-dir", cache]
+totals, files = [], []
+for run in ("cold", "warm"):
+    started = time.monotonic()
+    proc = subprocess.Popen(argv, stdout=subprocess.PIPE, text=True)
+    out = proc.stdout.read()
+    proc.stdout.close()
+    _, status, usage = os.wait4(proc.pid, 0)  # the usage of this run alone
+    proc.returncode = os.waitstatus_to_exitcode(status)
+    totals.append(json.loads(out)["total"] if proc.returncode == 0 else None)
+    [path] = glob.glob(os.path.join(cache, "*.atoms"))
+    with open(path, "rb") as fh:
+        files.append((hashlib.sha256(fh.read()).hexdigest(), os.stat(path).st_mtime_ns))
+    print(f"{run}: total {totals[-1]}, {time.monotonic() - started:.2f} s, "
+          f"ru_maxrss {usage.ru_maxrss // 1024} MiB")
+sys.exit(0 if totals == [137084, 137084] and files[0] == files[1] else 1)' "$cache"
+}
+
 golden_cli() {
   timeout 300 python3 tests/golden_cli.py --replay
 }
@@ -91,6 +117,7 @@ check "Short benchmark run, checked against its oracles" short_run catalog_sweep
 check "Short sequence-query run, checked against its oracles" short_run sequence_queries
 check "compare D10 D10 answers at its default bound in a fresh process" compare_d10
 check "verify D12 D12 finds its 24 maps in a fresh process" verify_d12
+check "atoms S4 --max 6 reports 137084 atoms cold and warm on one cache, and the warm run leaves the catalog file as it was" atoms_s4_cold_warm
 check "Every golden CLI run gives the same exit code, stdout and stderr in a fresh process" golden_cli
 check "C2xC2xC2xC2 self-pair search finds its automorphisms and their twists, and every map passes the assertions" c2_4_self_pair
 check "verify_theorem is consistent on all 276 catalog pairs, and only the 23 self-pairs find maps" catalog_theorem

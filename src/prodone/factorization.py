@@ -12,10 +12,11 @@ distinct (a repeat would cut out a proper product-one segment whose
 complement is product-one as well), so atoms never exceed length |G|.
 
 The atoms are cached per group; no ball is. Over a non-abelian group they
-are read off a ball built for the purpose and dropped once they are known: a
-ball vector is an atom unless subtracting a shorter atom leaves another ball
-vector. Over an abelian group they come from a walk over the zero-sum-free
-sequences, and the ball is never built for them.
+are read off a ball built level by level for the purpose, up to the first
+length with no atom, and dropped once they are known: a ball vector is an
+atom unless subtracting a shorter atom leaves another ball vector. Over an
+abelian group they come from a walk over the zero-sum-free sequences, and
+the ball is never built for them.
 """
 
 from __future__ import annotations
@@ -72,6 +73,17 @@ def _unpack(key: int, order: int) -> tuple:
     return tuple([(key >> s) & _SLOT for s in shifts])
 
 
+class _Decimals(dict):
+    """Token -> ``int(token)``, read off the table for the spellings of 0..31."""
+
+    def __missing__(self, token):
+        return int(token)
+
+
+# every length and multiplicity that ``save`` writes is within the packing limit
+_DECIMALS = _Decimals({str(v): v for v in range(_SLOT + 1)})
+
+
 # -- exhaustive product-one enumeration -------------------------------------------
 
 
@@ -116,8 +128,13 @@ def _abelian_atoms(group: GroupTable, cap: int) -> dict:
     return {key: ln for ln in sorted(found) for key in sorted(found[ln])}
 
 
-def _level_ball(group: GroupTable, cap: int) -> dict:
+def _level_ball(group: GroupTable, cap: int):
     """Level-wise product-set DP over all identity-free multisets.
+
+    Yields, for each length l = 1..cap in turn, the packed keys of the
+    product-one multisets of length l, each level built only when asked
+    for. C1 has no identity-free multisets and cap 0 allows none, so both
+    yield nothing at once, whatever the cap.
 
     Level l maps each multiset T of length l to its product mask
     pi(T) = U_{h in supp T} pi(T - h)·h, built from level l-1 by appending an
@@ -138,23 +155,20 @@ def _level_ball(group: GroupTable, cap: int) -> dict:
     when pi(T - g)·g, a part of pi(T), already has |G'| elements it is all of
     pi(T), and the other support elements are not read. Over an abelian
     group G' is trivial, so every key reads one memo.
-
-    C1 has no identity-free multisets and cap 0 allows none, so both answer
-    at once, whatever the cap.
     """
     n = group.order
     if cap == 0 or n == 1:
-        return {}
+        return
     full = len(group.commutator_subgroup())
     masks = group._mul_mask_tables()
     bits = tuple(1 << (_SHIFT * e) for e in range(n))
     inv_bits = tuple(1 << group.inv(e) for e in range(n))
-    out: dict[int, int] = {}
     level = {0: 1}  # the empty multiset achieves exactly the identity
     by_support: dict = {(): [0]}  # identity-free, so appends start at 1 or max(supp)
-    for ln in range(1, cap):
+    for _ in range(1, cap):
         nxt: dict[int, int] = {}
         nxt_support: dict = {}
+        found = []
         for supp, keys in by_support.items():
             for g in range(supp[-1] if supp else 1, n):
                 bg, mg = bits[g], masks[g]
@@ -169,15 +183,17 @@ def _level_ball(group: GroupTable, cap: int) -> dict:
                     nxt[nk] = acc
                     children.append(nk)
                     if acc & 1:
-                        out[nk] = ln
+                        found.append(nk)
         level, by_support = nxt, nxt_support
+        yield found
+    found = []
     for supp, keys in by_support.items():
         for g in range(supp[-1] if supp else 1, n):
             bg, ig = bits[g], inv_bits[g]
             for key in keys:
                 if level[key] & ig:
-                    out[key + bg] = cap
-    return out
+                    found.append(key + bg)
+    yield found
 
 
 def _budget_cap(group: GroupTable, max_len: int, budget: int | None) -> tuple:
@@ -222,7 +238,7 @@ def product_one_vectors(group: GroupTable, max_len: int, budget: int | None = No
     to length l - 1.
     """
     upto, trip = _budget_cap(group, max_len, budget)
-    ball = _level_ball(group, upto)
+    ball = {key: ln for ln, keys in enumerate(_level_ball(group, upto), 1) for key in keys}
     if trip is not None:
         trip.partial = ball
         raise trip
@@ -256,8 +272,12 @@ def is_atom(seq: Sequence, max_states: int | None = None) -> bool:
     return True
 
 
-def _ball_atoms(ball: dict) -> dict:
-    """The atoms of a product-one ball that is exact to some cap.
+def _ball_atoms(levels) -> dict:
+    """The atoms of a product-one ball given level by level, by (length, packed key).
+
+    ``levels`` yields the ball's packed keys of each length 1, 2, ..., as
+    ``_level_ball`` does. They are read up to the cap the ball is exact to,
+    or up to the first length >= 2 with no atom if that comes first.
 
     Lemma A: a product-one T is not an atom iff T = a·p with a an atom and p
     a nonempty product-one sequence with |p| >= |a|. Proof: if T splits into
@@ -271,21 +291,30 @@ def _ball_atoms(ball: dict) -> dict:
     q + a = T adds slotwise, since a carry between 5-bit slots would make
     |q| = |T| - |a| + 31k > 31, longer than any ball vector. Group structure
     plays no part, and a partial ball gives every atom to the cap it is
-    exact to. The atoms come by (length, packed key).
+    exact to.
+
+    The stop is exact, since the identity-free atom lengths form an
+    interval, and no level above it is asked for. Proof: let T be an identity-free atom of length k >= 3
+    with a product-one ordering x1·x2···xk = 1, and merge x1 and x2 into the
+    one term x1x2. If x1x2 = 1, T would split into (x1, x2) and
+    (x3, ..., xk), both product-one. Otherwise the merged sequence T' is
+    identity-free of length k - 1 and product-one by the same ordering. A
+    split of T' into product-one parts U·V, with x1x2 in U, un-merges into a
+    split of T: writing x1, x2 in place of x1x2 in a product-one ordering of
+    U leaves its product unchanged. So T' is an atom, every length in
+    2..k has an atom when k does, and none lies above a length that has none.
     """
-    top = max(ball.values(), default=0)
-    levels: list = [[] for _ in range(top + 1)]
-    for key, ln in ball.items():
-        levels[ln].append(key)
-    keys = ball.keys()
-    found: list = [[] for _ in range(top + 1)]  # the atoms of each length
+    ball: set = set()
+    found: list = [[]]  # the atoms of each length; none of length 0
     short: list = []  # the atoms of length <= ln/2
-    for ln in range(1, top + 1):
+    for ln, keys in enumerate(levels, 1):
         if ln % 2 == 0:
             short += found[ln // 2]
-        found[ln] = sorted(key for key in levels[ln]
-                           if keys.isdisjoint(map(key.__sub__, short)))
-    return {key: ln for ln in range(1, top + 1) for key in found[ln]}
+        found.append(sorted(key for key in keys if ball.isdisjoint(map(key.__sub__, short))))
+        if ln >= 2 and not found[ln]:
+            break
+        ball.update(keys)
+    return {key: ln for ln, atoms in enumerate(found) for key in atoms}
 
 
 def _atom_keys(group: GroupTable, max_len: int, budget: int | None) -> dict:
@@ -293,10 +322,11 @@ def _atom_keys(group: GroupTable, max_len: int, budget: int | None) -> dict:
 
     Cached per group at the largest cap computed so far; a request below
     that cap takes the length prefix of the cached atoms, which come by
-    (length, packed key). A non-abelian group's ball is built, read by
-    ``_ball_atoms`` and dropped. A budget trip caches the atoms to the cap
-    it reached, which are exact there, and carries a non-exhaustive catalog
-    that holds every atom shorter than the length where it tripped.
+    (length, packed key). A non-abelian group's ball is built level by
+    level, read by ``_ball_atoms`` up to the first length with no atom, and
+    dropped. A budget trip caches the atoms to the cap it reached, which are
+    exact there, and carries a non-exhaustive catalog that holds every atom
+    shorter than the length where it tripped.
     """
     upto, trip = _budget_cap(group, max_len, budget)
     with _CACHE_LOCK:
@@ -324,7 +354,11 @@ def _atom_keys(group: GroupTable, max_len: int, budget: int | None) -> dict:
 
 @dataclass(frozen=True)
 class AtomCatalog:
-    """All atoms over a group up to a length bound."""
+    """All atoms over a group up to a length bound.
+
+    ``atoms_by_length`` maps each length to the exponent tuples of its
+    atoms, sorted; ``all_atoms`` makes a ``Sequence`` of each on demand.
+    """
 
     group: GroupTable
     max_length: int
@@ -336,7 +370,8 @@ class AtomCatalog:
 
     def all_atoms(self):
         for ln in sorted(self.atoms_by_length):
-            yield from self.atoms_by_length[ln]
+            for vec in self.atoms_by_length[ln]:
+                yield Sequence(self.group, vec)
 
     def max_atom_length(self) -> int:
         lengths = [ln for ln, atoms in self.atoms_by_length.items() if atoms]
@@ -360,11 +395,9 @@ class AtomCatalog:
         included, so that a file that lost, gained, changed or reordered a
         line fails to load.
         """
-        atom_lines = []
-        for ln in sorted(self.atoms_by_length):
-            for atom in self.atoms_by_length[ln]:
-                vec = " ".join(str(v) for v in atom.exponents)
-                atom_lines.append(f"atom {ln} {vec}")
+        atom_lines = [f"atom {ln} {' '.join(map(str, vec))}"
+                      for ln in sorted(self.atoms_by_length)
+                      for vec in self.atoms_by_length[ln]]
         head = [self.FORMAT_HEADER,
                 f"group {self.group.table_hash()}",
                 f"order {self.group.order}",
@@ -390,27 +423,50 @@ class AtomCatalog:
         """Read a catalog written by ``save``.
 
         Raises ``ParseError`` for a file that is not one, whatever is wrong
-        with it, and ``CatalogError`` for one built for another group.
+        with it, and ``CatalogError`` for one built for another group. One
+        pass over the lines files every field and parses every atom record
+        into its exponent tuple. A record that fails a check is reported
+        only after the digest and header checks, as the first failing record.
         """
         try:
             with open(os.fspath(path), "r", encoding="ascii") as fh:
-                lines = [ln.strip() for ln in fh if ln.strip()]
+                lines = [ln for ln in map(str.strip, fh) if ln]
         except UnicodeDecodeError:
             raise ParseError(f"catalog is not ASCII text: {path}") from None
         if not lines or lines[0] != cls.FORMAT_HEADER:
             raise ParseError(f"not a prodone atom catalog: {path}")
         fields = {}
-        covered, body = lines[:1], []  # covered: every line but the digest
+        covered = lines[:1]  # every line but the digest
+        atoms_by_length: dict[int, list] = {}
+        width = group.order + 1  # a record is a length and the exponents
+        non_integer = False
+        fault = None  # the message of the first record that fails a check
         for ln in lines[1:]:
             tokens = ln.split()
-            if tokens[0] == "atom":
-                body.append(tokens[1:])
-            elif len(tokens) == 2 and tokens[0] not in fields:
-                fields[tokens[0]] = tokens[1]
-            else:
-                raise ParseError(f"bad or repeated catalog line {ln!r}")
             if tokens[0] != "digest":
                 covered.append(ln)
+            if tokens[0] != "atom":
+                if len(tokens) != 2 or tokens[0] in fields:
+                    raise ParseError(f"bad or repeated catalog line {ln!r}")
+                fields[tokens[0]] = tokens[1]
+                continue
+            try:
+                record = tuple(map(_DECIMALS.__getitem__, tokens[1:]))
+            except ValueError:
+                non_integer = True
+                continue
+            if fault is not None:
+                continue
+            vec = record[1:]
+            if len(record) != width:
+                fault = (f"atom record has {len(record)} fields, "
+                         f"expected a length and {group.order} exponents")
+            elif min(vec) < 0:
+                fault = f"atom record has a negative multiplicity: {list(vec)}"
+            elif sum(vec) != record[0]:
+                fault = f"atom record length {record[0]} does not match its vector"
+            else:
+                atoms_by_length.setdefault(record[0], []).append(vec)
         for need in ("group", "order", "max_length", "exhaustive", "digest"):
             if need not in fields:
                 raise ParseError(f"catalog missing field {need!r}")
@@ -421,27 +477,17 @@ class AtomCatalog:
         try:
             order, max_length, exhaustive = (
                 int(fields[k]) for k in ("order", "max_length", "exhaustive"))
-            records = [[int(v) for v in tokens] for tokens in body]
         except ValueError:
-            raise ParseError(f"non-integer field in catalog {path}") from None
+            non_integer = True
+        if non_integer:
+            raise ParseError(f"non-integer field in catalog {path}")
         if order != group.order:
             raise CatalogError(f"catalog order {order} != group order {group.order}")
         if exhaustive not in (0, 1):
             raise ParseError(f"catalog exhaustive flag {exhaustive} is not 0 or 1")
-        atoms_by_length: dict[int, list] = {}
-        for record in records:
-            if len(record) != group.order + 1:
-                raise ParseError(f"atom record has {len(record)} fields, "
-                                 f"expected a length and {group.order} exponents")
-            ln, vec = record[0], record[1:]
-            if min(vec) < 0:
-                raise ParseError(f"atom record has a negative multiplicity: {vec}")
-            seq = Sequence(group, vec)
-            if seq.length != ln:
-                raise ParseError(f"atom record length {ln} does not match its vector")
-            atoms_by_length.setdefault(ln, []).append(seq)
-        final = {ln: tuple(sorted(atoms, key=lambda s: s.exponents))
-                 for ln, atoms in atoms_by_length.items()}
+        if fault is not None:
+            raise ParseError(fault)
+        final = {ln: tuple(sorted(atoms)) for ln, atoms in atoms_by_length.items()}
         return cls(group, max_length, bool(exhaustive), final)
 
 
@@ -458,8 +504,7 @@ def _catalog_from_keys(group: GroupTable, keys: dict, max_length: int,
     if max_length >= 1:
         by_length.setdefault(1, []).append((1,) + (0,) * (n - 1))
     # bytes compare like the vectors, since every multiplicity fits in a slot
-    final = {ln: tuple(Sequence(group, vec) for vec in sorted(vecs, key=bytes))
-             for ln, vecs in by_length.items()}
+    final = {ln: tuple(sorted(vecs, key=bytes)) for ln, vecs in by_length.items()}
     return AtomCatalog(group, max_length, exhaustive, final)
 
 
@@ -514,27 +559,27 @@ def factorizations(b: Sequence, catalog: AtomCatalog):
             f"have bound {catalog.max_length} (exhaustive={catalog.exhaustive})")
     if not b.is_product_one():
         raise ValueError("cannot factor a sequence that is not product-one")
-    atoms = [a for a in catalog.all_atoms() if a.length <= b.length and a.divides(b)]
-    results = []
-    chosen: list = []
     target = b.exponents
+    atoms = [(vec, ln) for ln in sorted(catalog.atoms_by_length) if ln <= b.length
+             for vec in catalog.atoms_by_length[ln]
+             if all(x <= t for x, t in zip(vec, target))]
+    found = []  # each factorization as the indices of its atoms
+    chosen: list = []
 
     def rec(rem, max_idx, rem_len):
         if rem_len == 0:
-            results.append(tuple(chosen))
+            found.append(tuple(chosen))
             return
         for i in range(max_idx, -1, -1):
-            a = atoms[i]
-            if a.length > rem_len:
-                continue
-            exps = a.exponents
-            if all(x <= r for x, r in zip(exps, rem)):
-                chosen.append(a)
-                rec(tuple(r - x for r, x in zip(rem, exps)), i, rem_len - a.length)
+            vec, ln = atoms[i]
+            if ln <= rem_len and all(x <= r for x, r in zip(vec, rem)):
+                chosen.append(i)
+                rec(tuple(r - x for r, x in zip(rem, vec)), i, rem_len - ln)
                 chosen.pop()
 
     rec(target, len(atoms) - 1, b.length)
-    return results
+    made = {i: Sequence(b.group, atoms[i][0]) for i in set().union(*found)}
+    return [tuple(made[i] for i in f) for f in found]
 
 
 def set_of_lengths(b: Sequence, catalog: AtomCatalog) -> tuple:

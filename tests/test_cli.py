@@ -328,6 +328,10 @@ def _replace_line(old, new):
     return lambda lines: [new if ln == old else ln for ln in lines]
 
 
+def _both(first, second):
+    return lambda lines: second(first(lines))
+
+
 # each one is caught by a check after the digest, with this error and message
 DIGESTED_CORRUPTIONS = {
     "missing field": (lambda lines: [ln for ln in lines if ln != "order 6"],
@@ -347,6 +351,18 @@ DIGESTED_CORRUPTIONS = {
     "length not matching its vector": (_replace_line("atom 1 1 0 0 0 0 0", "atom 2 1 0 0 0 0 0"),
                                        ParseError,
                                        "atom record length 2 does not match its vector"),
+    # with two faults, the check that comes first names the error
+    "non-integer after a bad record": (_both(_replace_line("atom 1 1 0 0 0 0 0", "atom 1 1 0 0 0 0"),
+                                             _replace_line("atom 2 0 0 0 0 0 2", "atom 2 0 0 0 0 0 x")),
+                                       ParseError, "non-integer field in catalog {path}"),
+    "order mismatch before a bad record": (_both(_replace_line("atom 1 1 0 0 0 0 0",
+                                                               "atom 1 2 -1 0 0 0 0"),
+                                                 _replace_line("order 6", "order 7")),
+                                           CatalogError, "catalog order 7 != group order 6"),
+    "first of two bad records": (_both(_replace_line("atom 1 1 0 0 0 0 0", "atom 1 1 0 0 0 0"),
+                                       _replace_line("atom 2 0 0 0 0 0 2", "atom 2 0 0 0 0 -1 3")),
+                                 ParseError,
+                                 "atom record has 6 fields, expected a length and 6 exponents"),
 }
 
 

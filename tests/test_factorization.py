@@ -133,16 +133,24 @@ def test_enumerate_atoms_matches_naive(spec, max_len):
     group = parse_group_spec(spec)
     catalog = enumerate_atoms(group, max_len)
     assert catalog.exhaustive
-    mine = {ln: {a.exponents for a in atoms}
-            for ln, atoms in catalog.atoms_by_length.items() if atoms}
+    mine = {ln: set(atoms) for ln, atoms in catalog.atoms_by_length.items() if atoms}
     assert mine == naive_atoms(group, max_len)
+
+
+def holds_exponent_tuples(catalog):
+    """Whether the catalog holds each atom as a tuple of ints, and no Sequence."""
+    return all(type(atoms) is tuple and all(type(vec) is tuple and
+                                            all(type(x) is int for x in vec)
+                                            for vec in atoms)
+               for atoms in catalog.atoms_by_length.values())
 
 
 def test_atom_catalog_is_sorted_and_consistent():
     catalog = enumerate_atoms(symmetric(3), 6)
+    assert holds_exponent_tuples(catalog)
     for ln, atoms in catalog.atoms_by_length.items():
-        assert list(atoms) == sorted(atoms, key=lambda s: s.exponents)
-        assert all(a.length == ln for a in atoms)
+        assert list(atoms) == sorted(atoms)
+        assert all(len(a) == 6 and sum(a) == ln for a in atoms)
     assert catalog.max_atom_length() == 6
     assert sum(catalog.counts().values()) == sum(
         len(v) for v in catalog.atoms_by_length.values())
@@ -335,7 +343,8 @@ def test_level_ball_matches_naive_at_every_cap(spec):
              if spec.startswith("relabeled") else parse_group_spec(spec))
     naive = naive_ball(group, 6)
     for cap in range(1, 7):
-        mine = {_unpack(key, group.order): ln for key, ln in _level_ball(group, cap).items()}
+        mine = {_unpack(key, group.order): ln
+                for ln, keys in enumerate(_level_ball(group, cap), 1) for key in keys}
         assert mine == {vec: ln for vec, ln in naive.items() if ln <= cap}
 
 
@@ -362,9 +371,10 @@ def test_a_product_set_lies_in_one_coset_of_the_commutator_subgroup(spec):
 @pytest.mark.parametrize("spec", ["D10", "Dic12", "C10"])
 def test_level_ball_at_a_cap_is_the_next_cap_cut_short(spec):
     group = parse_group_spec(spec)
-    balls = {cap: _level_ball(group, cap) for cap in range(1, 10)}
+    balls = {cap: list(_level_ball(group, cap)) for cap in range(1, 10)}
     for cap in range(1, 9):
-        assert balls[cap] == {key: ln for key, ln in balls[cap + 1].items() if ln <= cap}
+        assert len(balls[cap]) == cap
+        assert balls[cap] == balls[cap + 1][:cap]
 
 
 # Identity-free product-one multisets and atoms per length 1..cap, as the
@@ -413,12 +423,34 @@ def test_pinned_counts_cover_the_catalog():
                          ids=[spec for spec, _, _, _ in PINNED_COUNTS])
 def test_ball_and_atom_counts_per_length_are_pinned(spec, cap, balls, atoms, monkeypatch):
     # no ball is kept between calls, so the test shares one between its two
-    monkeypatch.setattr(factorization, "_level_ball", functools.cache(_level_ball))
+    levels = functools.cache(lambda group, cap: list(_level_ball(group, cap)))
+    monkeypatch.setattr(factorization, "_level_ball", lambda group, cap: iter(levels(group, cap)))
     group = parse_group_spec(spec)
     ball = Counter(product_one_vectors(group, cap).values())
     found = Counter(_atom_keys(group, cap, None).values())
     assert [ball[ln] for ln in range(1, cap + 1)] == balls
     assert [found[ln] for ln in range(1, cap + 1)] == atoms
+    # the catalog groups, at cap |G|: atoms at every length 2..D(G) and none above
+    d = large_davenport(group) if cap == group.order else cap
+    assert d > 1 and all(atoms[1:d]) and not any(atoms[d:])
+
+
+def test_atom_search_stops_at_the_first_length_without_atoms(monkeypatch):
+    # D(A4) = 7: the search reads level 8, finds no atom there, and builds
+    # none of the levels 9 to 12, the largest of the ball
+    monkeypatch.setattr(factorization, "_ATOM_CACHE", OrderedDict())
+    built = []
+
+    def level_ball(group, cap):
+        for ln, keys in enumerate(_level_ball(group, cap), 1):
+            built.append(ln)
+            yield keys
+
+    monkeypatch.setattr(factorization, "_level_ball", level_ball)
+    found = Counter(_atom_keys(parse_group_spec("A4"), 12, None).values())
+    assert built == list(range(1, 9))
+    pinned = {spec: atoms for spec, _, _, atoms in PINNED_COUNTS}
+    assert [found[ln] for ln in range(1, 13)] == pinned["A4"]
 
 
 def is_atom_filter(group, ball):
@@ -433,9 +465,8 @@ def test_ball_atoms_match_is_atom(spec):
     group = (relabeled_copy(dihedral(8), random.Random(3)) if spec == "relabeled D8"
              else parse_group_spec(spec))
     cap = 6
-    ball = product_one_vectors(group, cap)
-    expected = is_atom_filter(group, ball)
-    assert _ball_atoms(ball) == expected
+    expected = is_atom_filter(group, product_one_vectors(group, cap))
+    assert _ball_atoms(_level_ball(group, cap)) == expected
     # smaller caps read the length prefix of the cached atoms
     for c in range(1, cap + 1):
         assert _atom_keys(group, c, None) == {k: ln for k, ln in expected.items() if ln <= c}
@@ -460,7 +491,7 @@ def test_abelian_atoms_match_the_lookup_atoms_and_is_atom(spec, relabeled):
     # the walk's atoms pass the per-sequence split search, and at a small cap
     # nothing else in the ball does
     assert all(is_atom(Sequence(group, _unpack(k, group.order))) for k in atoms)
-    assert _abelian_atoms(group, 5) == is_atom_filter(group, _level_ball(group, 5))
+    assert _abelian_atoms(group, 5) == is_atom_filter(group, product_one_vectors(group, 5))
 
 
 def test_ball_atoms_of_the_partial_ball_of_a_budget_trip():
@@ -474,7 +505,8 @@ def test_ball_atoms_of_the_partial_ball_of_a_budget_trip():
     ball = trips[0][1]
     assert max(ball.values()) == 3  # 7 + 28 + 84 multisets fit, 210 more do not
     expected = is_atom_filter(group, ball)
-    assert _ball_atoms(ball) == expected
+    levels = [[k for k, ln in ball.items() if ln == top] for top in (1, 2, 3)]
+    assert _ball_atoms(levels) == expected
     with pytest.raises(BudgetExceededError) as err:
         enumerate_atoms(group, 6, budget=300)
     identity_atom = (1,) + (0,) * 7
@@ -499,7 +531,15 @@ def test_catalog_save_load_round_trip(tmp_path):
     catalog.save(path)
     loaded = AtomCatalog.load(path, s3)
     assert loaded.atoms_by_length == catalog.atoms_by_length
+    assert holds_exponent_tuples(loaded)
     assert loaded.max_length == 6 and loaded.exhaustive
+    # Sequences made on demand, equal on both sides, by length and then vector
+    atoms = list(loaded.all_atoms())
+    assert atoms == list(catalog.all_atoms())
+    assert all(type(a) is Sequence and a.group == s3 for a in atoms)
+    assert [a.exponents for a in atoms] == sorted((a.exponents for a in atoms),
+                                                  key=lambda vec: (sum(vec), vec))
+    assert len(atoms) == sum(catalog.counts().values()) == 58
     with pytest.raises(CatalogError):
         AtomCatalog.load(path, dihedral(8))
 
@@ -521,6 +561,7 @@ def test_catalog_restrict():
     catalog = enumerate_atoms(symmetric(3), 6)
     small = catalog.restrict(3)
     assert small.max_length == 3 and small.exhaustive
+    assert holds_exponent_tuples(small)
     assert set(small.counts()) == {1, 2, 3}
     with pytest.raises(CatalogError):
         small.restrict(5)
@@ -656,18 +697,21 @@ def test_ball_cache_evicts_the_least_recently_used_group(monkeypatch):
     assert factorization._ATOM_CACHE_SIZE >= 32
 
 
-class _Referable(dict):
-    """A ball that a weak reference can point at."""
+class _Referable(list):
+    """A ball level that a weak reference can point at."""
 
 
 def test_no_ball_outlives_the_call_that_built_it(monkeypatch):
     monkeypatch.setattr(factorization, "_ATOM_CACHE", OrderedDict())
-    refs = []
+    builds, refs = [], []
 
     def level_ball(group, cap):
-        ball = _Referable(_level_ball(group, cap))
-        refs.append(weakref.ref(ball))
-        return ball
+        levels = _level_ball(group, cap)
+        builds.append(weakref.ref(levels))
+        for keys in levels:
+            keys = _Referable(keys)
+            refs.append(weakref.ref(keys))
+            yield keys
 
     monkeypatch.setattr(factorization, "_level_ball", level_ball)
     d8 = parse_group_spec("D8")
@@ -675,14 +719,14 @@ def test_no_ball_outlives_the_call_that_built_it(monkeypatch):
     enumerate_atoms(parse_group_spec("Q8"), 6)
     length_system(symmetric(3), 6)
     ball = product_one_vectors(dihedral(10), 6)
-    assert isinstance(ball, _Referable)
+    assert len(ball) == sum([0, 7, 24, 137, 452, 1301])  # D10 in PINNED_COUNTS
     del ball
     gc.collect()
-    assert len(refs) == 4
-    assert [ref() for ref in refs] == [None] * 4
+    assert len(builds) == 4 and len(refs) > 4
+    assert [ref() for ref in builds + refs] == [None] * len(builds + refs)
     # an equal table reads the cached atoms and builds no ball
     assert large_davenport(GroupTable(d8.table)) == 6
-    assert len(refs) == 4
+    assert len(builds) == 4
 
 
 def _trip(call):
