@@ -4,8 +4,9 @@
 # two CLI runs in fresh processes, a cold and a warm `atoms S4 --max 6` on
 # one cache directory, the golden CLI runs of
 # tests/golden_cli.json replayed byte for byte in fresh processes, the
-# C2xC2xC2xC2 self-pair oracle and the theorem on every pair of the 23-group
-# catalog.
+# C2xC2xC2xC2 self-pair oracle, the theorem on every pair of the 23-group
+# catalog, and the theorem on every pair of the six order-16 groups whose
+# atoms fit the default budget.
 #
 # Run from the repository root: bash .github/scripts/bare_checks.sh
 # Each check prints its name before it runs. Every check runs; the script
@@ -112,6 +113,26 @@ self_pairs = {(i, i) for i in range(len(groups))}
 sys.exit(0 if len(pairs) == 276 and inconsistent == 0 and with_maps == self_pairs else 1)'
 }
 
+order_16_theorem() {
+  PYTHONPATH=src timeout 300 python3 -c '
+import itertools, resource, sys, time
+from prodone.groups import parse_group_spec
+from prodone.isolab import verify_theorem
+started = time.monotonic()
+specs = ("C8xC2", "C4xC4", "C4xC2xC2", "C2xC2xC2xC2", "C2xD8", "C2xQ8")
+groups = [parse_group_spec(spec) for spec in specs]
+pairs = list(itertools.combinations_with_replacement(range(len(groups)), 2))
+verdicts = [verify_theorem(groups[i], groups[j]) for i, j in pairs]
+inconsistent = sum(not v.consistent for v in verdicts)
+with_maps = {pair for pair, v in zip(pairs, verdicts) if v.bijections_found}
+print(f"{len(pairs)} pairs, {inconsistent} inconsistent, maps found on {len(with_maps)}: "
+      f"{[v.bijections_found for v in verdicts if v.bijections_found]}, "
+      f"{time.monotonic() - started:.1f} s, "
+      f"ru_maxrss {resource.getrusage(resource.RUSAGE_SELF).ru_maxrss // 1024} MiB")
+self_pairs = {(i, i) for i in range(len(groups))}
+sys.exit(0 if len(pairs) == 21 and inconsistent == 0 and with_maps == self_pairs else 1)'
+}
+
 check "Benchmark oracle self-test" oracle_self_test
 check "Short benchmark run, checked against its oracles" short_run catalog_sweep
 check "Short sequence-query run, checked against its oracles" short_run sequence_queries
@@ -121,6 +142,7 @@ check "atoms S4 --max 6 reports 137084 atoms cold and warm on one cache, and the
 check "Every golden CLI run gives the same exit code, stdout and stderr in a fresh process" golden_cli
 check "C2xC2xC2xC2 self-pair search finds its automorphisms and their twists, and every map passes the assertions" c2_4_self_pair
 check "verify_theorem is consistent on all 276 catalog pairs, and only the 23 self-pairs find maps" catalog_theorem
+check "verify_theorem at the default budget is consistent on all 21 pairs of six order-16 groups, and only the 6 self-pairs find maps" order_16_theorem
 
 if ((${#failed[@]})); then
   printf 'failed check: %s\n' "${failed[@]}"

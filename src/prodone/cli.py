@@ -50,8 +50,7 @@ def _load_group(spec: str) -> GroupTable:
                     text = fh.read()
             except OSError as exc:
                 raise ParseError(f"cannot read group table file {spec!r}: {exc}")
-            group = from_table(text)
-            return group
+            return from_table(text)
         raise
 
 
@@ -355,10 +354,7 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
         result = args.func(args)
-    except ParseError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
-    except (GroupTableError, ValueError) as exc:
+    except (ParseError, GroupTableError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
     except BudgetExceededError as exc:

@@ -1,22 +1,23 @@
 """Atoms of the product-one monoid, Davenport constant, and sets of lengths.
 
-The workhorse is an exhaustive enumeration of all product-one sequences up to
-a length cap, as packed exponent vectors. Identity-free sequences suffice:
-inserting copies of the identity never changes the set of products, so a
-sequence is product-one iff its identity-free part is, and the only atom
-containing the identity is the length-1 sequence (1).
+Atoms come from one of two engines, both over identity-free sequences
+packed as exponent vectors. Over a non-abelian group they are read off a
+product-one ball built level by level (``_level_ball``), up to the first
+length with no atom: a ball vector is an atom unless subtracting a shorter
+atom leaves another ball vector (``_ball_atoms``). Over an abelian group
+they come from a walk over the zero-sum-free sequences (``_abelian_atoms``),
+and no ball is built. Identity-free sequences suffice: inserting copies of
+the identity never changes the set of products, so a sequence is
+product-one iff its identity-free part is, and the only atom containing the
+identity is the length-1 sequence (1).
 
 Atoms searched up to length cap |G| are exhaustive: in any product-one
 ordering of an atom the partial products before the end must be pairwise
 distinct (a repeat would cut out a proper product-one segment whose
 complement is product-one as well), so atoms never exceed length |G|.
 
-The atoms are cached per group; no ball is. Over a non-abelian group they
-are read off a ball built level by level for the purpose, up to the first
-length with no atom, and dropped once they are known: a ball vector is an
-atom unless subtracting a shorter atom leaves another ball vector. Over an
-abelian group they come from a walk over the zero-sum-free sequences, and
-the ball is never built for them.
+The atoms are cached per group; no ball is, since a ball is dropped once
+its atoms are known.
 """
 
 from __future__ import annotations
@@ -109,7 +110,7 @@ def _abelian_atoms(group: GroupTable, cap: int) -> dict:
     n = group.order
     tab = group.table
     masks = group._mul_mask_tables()
-    inv = tuple(group.inv(x) for x in range(n))
+    inv = group.inverses
     bits = tuple(1 << (_SHIFT * e) for e in range(n))
     found: dict = {}  # length -> the atoms of that length
 
@@ -162,7 +163,7 @@ def _level_ball(group: GroupTable, cap: int):
     full = len(group.commutator_subgroup())
     masks = group._mul_mask_tables()
     bits = tuple(1 << (_SHIFT * e) for e in range(n))
-    inv_bits = tuple(1 << group.inv(e) for e in range(n))
+    inv_bits = tuple(1 << e for e in group.inverses)
     level = {0: 1}  # the empty multiset achieves exactly the identity
     by_support: dict = {(): [0]}  # identity-free, so appends start at 1 or max(supp)
     for _ in range(1, cap):
@@ -258,8 +259,7 @@ def is_atom(seq: Sequence, max_states: int | None = None) -> bool:
         return False
     if seq.exponents[0]:
         return seq.length == 1
-    dp, supp = _submultiset_products(seq, max_states)
-    full = tuple(seq.exponents[e] for e in supp)
+    dp, supp, full = _submultiset_products(seq, max_states)
     if not dp[full] & 1:
         return False
     zero = (0,) * len(supp)
@@ -324,9 +324,11 @@ def _atom_keys(group: GroupTable, max_len: int, budget: int | None) -> dict:
     that cap takes the length prefix of the cached atoms, which come by
     (length, packed key). A non-abelian group's ball is built level by
     level, read by ``_ball_atoms`` up to the first length with no atom, and
-    dropped. A budget trip caches the atoms to the cap it reached, which are
-    exact there, and carries a non-exhaustive catalog that holds every atom
-    shorter than the length where it tripped.
+    dropped. The budget admits lengths up to some ``upto`` below the
+    request; the atoms to ``upto`` are cached, and they are all the atoms
+    when some length in 2..upto has none. Otherwise the budget trips,
+    carrying a non-exhaustive catalog that holds every atom shorter than the
+    length where it tripped. Both depend on the group and ``upto`` alone.
     """
     upto, trip = _budget_cap(group, max_len, budget)
     with _CACHE_LOCK:
@@ -346,7 +348,8 @@ def _atom_keys(group: GroupTable, max_len: int, budget: int | None) -> dict:
     cap, atoms = hit
     if upto < cap:
         atoms = dict(takewhile(lambda item: item[1] <= upto, atoms.items()))
-    if trip is not None:
+    # atom lengths form an interval (see _ball_atoms): an empty length proves them all found
+    if trip is not None and set(atoms.values()).issuperset(range(2, upto + 1)):
         trip.partial = _catalog_from_keys(group, atoms, max_len, exhaustive=False)
         raise trip
     return atoms
@@ -424,9 +427,10 @@ class AtomCatalog:
 
         Raises ``ParseError`` for a file that is not one, whatever is wrong
         with it, and ``CatalogError`` for one built for another group. One
-        pass over the lines files every field and parses every atom record
-        into its exponent tuple. A record that fails a check is reported
-        only after the digest and header checks, as the first failing record.
+        pass splits the lines by their first token into header fields and
+        atom records; the checks then run in turn, and the first that fails
+        is raised: the fields, the digest, the group, integers throughout,
+        the order and the flag, and then each record, in file order.
         """
         try:
             with open(os.fspath(path), "r", encoding="ascii") as fh:
@@ -437,36 +441,19 @@ class AtomCatalog:
             raise ParseError(f"not a prodone atom catalog: {path}")
         fields = {}
         covered = lines[:1]  # every line but the digest
-        atoms_by_length: dict[int, list] = {}
-        width = group.order + 1  # a record is a length and the exponents
-        non_integer = False
-        fault = None  # the message of the first record that fails a check
+        records = []  # the atom lines, split only once the header passes
         for ln in lines[1:]:
-            tokens = ln.split()
-            if tokens[0] != "digest":
-                covered.append(ln)
-            if tokens[0] != "atom":
-                if len(tokens) != 2 or tokens[0] in fields:
-                    raise ParseError(f"bad or repeated catalog line {ln!r}")
-                fields[tokens[0]] = tokens[1]
-                continue
-            try:
-                record = tuple(map(_DECIMALS.__getitem__, tokens[1:]))
-            except ValueError:
-                non_integer = True
-                continue
-            if fault is not None:
-                continue
-            vec = record[1:]
-            if len(record) != width:
-                fault = (f"atom record has {len(record)} fields, "
-                         f"expected a length and {group.order} exponents")
-            elif min(vec) < 0:
-                fault = f"atom record has a negative multiplicity: {list(vec)}"
-            elif sum(vec) != record[0]:
-                fault = f"atom record length {record[0]} does not match its vector"
+            head = ln.split(None, 1)[0]
+            if head == "atom":
+                records.append(ln)
             else:
-                atoms_by_length.setdefault(record[0], []).append(vec)
+                tokens = ln.split()
+                if len(tokens) != 2 or head in fields:
+                    raise ParseError(f"bad or repeated catalog line {ln!r}")
+                fields[head] = tokens[1]
+                if head == "digest":
+                    continue
+            covered.append(ln)
         for need in ("group", "order", "max_length", "exhaustive", "digest"):
             if need not in fields:
                 raise ParseError(f"catalog missing field {need!r}")
@@ -477,16 +464,24 @@ class AtomCatalog:
         try:
             order, max_length, exhaustive = (
                 int(fields[k]) for k in ("order", "max_length", "exhaustive"))
+            records = [tuple(map(_DECIMALS.__getitem__, ln.split()[1:])) for ln in records]
         except ValueError:
-            non_integer = True
-        if non_integer:
-            raise ParseError(f"non-integer field in catalog {path}")
+            raise ParseError(f"non-integer field in catalog {path}") from None
         if order != group.order:
             raise CatalogError(f"catalog order {order} != group order {group.order}")
         if exhaustive not in (0, 1):
             raise ParseError(f"catalog exhaustive flag {exhaustive} is not 0 or 1")
-        if fault is not None:
-            raise ParseError(fault)
+        atoms_by_length: dict[int, list] = {}
+        for i, record in enumerate(records):
+            records[i] = vec = record[1:]  # so the record and its vector are never both kept
+            if len(record) != order + 1:
+                raise ParseError(f"atom record has {len(record)} fields, "
+                                 f"expected a length and {order} exponents")
+            if min(vec) < 0:
+                raise ParseError(f"atom record has a negative multiplicity: {list(vec)}")
+            if sum(vec) != record[0]:
+                raise ParseError(f"atom record length {record[0]} does not match its vector")
+            atoms_by_length.setdefault(record[0], []).append(vec)
         final = {ln: tuple(sorted(atoms)) for ln, atoms in atoms_by_length.items()}
         return cls(group, max_length, bool(exhaustive), final)
 
@@ -659,6 +654,5 @@ def fingerprint(group: GroupTable, budget: int | None = None) -> Fingerprint:
     lengths = _atom_lengths(group, budget)
     d = max(lengths)
     counts = tuple(lengths[ln] for ln in range(1, d + 1))
-    quotient = group.abelianization()
-    profile = tuple(sorted(quotient.element_order(a) for a in quotient.elements()))
+    profile = tuple(sorted(group.abelianization().orders))
     return Fingerprint(atom_counts=counts, davenport=d, abelianization_profile=profile)

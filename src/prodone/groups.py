@@ -9,7 +9,9 @@ from __future__ import annotations
 import hashlib
 import itertools
 import re
+from collections import Counter
 from dataclasses import dataclass
+from functools import cached_property
 
 from .errors import GroupTableError, ParseError
 
@@ -39,12 +41,9 @@ class GroupTable:
     every row and column must be a permutation (Latin square), and
     associativity must hold. Instances are immutable once constructed and are
     compared and hashed by their table alone (names and label are display
-    metadata).
+    metadata). Derived facts are computed on first use and kept: they are
+    pure functions of the table.
     """
-
-    __slots__ = ("order", "table", "names", "label", "_inverses", "_orders",
-                 "_name_index", "_abelian", "_hash", "_mul_masks", "_abelmap",
-                 "_commutator")
 
     def __init__(self, table, names=None, label: str | None = None):
         rows = tuple(tuple(map(int, row)) for row in table)
@@ -73,45 +72,40 @@ class GroupTable:
                 raise GroupTableError("element names are not pairwise distinct")
         self.names = names
         self.label = label if label is not None else f"G{n}"
-        self._inverses = None
-        self._orders = None
-        self._name_index = None
-        self._abelian = None
-        self._hash = None
-        self._mul_masks = None
-        self._abelmap = None
-        self._commutator = None
 
     # -- basic element arithmetic -------------------------------------------------
+
+    @cached_property
+    def inverses(self) -> tuple:
+        """``inverses[a]`` is a^-1."""
+        return tuple(row.index(0) for row in self.table)
+
+    @cached_property
+    def orders(self) -> tuple:
+        """``orders[a]`` is the order of a."""
+        orders = []
+        for x in range(self.order):
+            k, y = 1, x
+            while y != 0:
+                y = self.table[y][x]
+                k += 1
+            orders.append(k)
+        return tuple(orders)
 
     def mul(self, a: int, b: int) -> int:
         return self.table[a][b]
 
     def inv(self, a: int) -> int:
-        if self._inverses is None:
-            inv = [0] * self.order
-            for x in range(self.order):
-                inv[x] = self.table[x].index(0)
-            self._inverses = tuple(inv)
-        return self._inverses[a]
+        return self.inverses[a]
 
     def element_order(self, a: int) -> int:
-        if self._orders is None:
-            orders = []
-            for x in range(self.order):
-                k, y = 1, x
-                while y != 0:
-                    y = self.table[y][x]
-                    k += 1
-                orders.append(k)
-            self._orders = tuple(orders)
-        return self._orders[a]
+        return self.orders[a]
 
     def power(self, a: int, k: int) -> int:
         """a**k for any integer k (negative powers via the inverse)."""
         if k < 0:
-            a, k = self.inv(a), -k
-        k %= self.element_order(a)
+            a, k = self.inverses[a], -k
+        k %= self.orders[a]
         out = 0
         for _ in range(k):
             out = self.table[out][a]
@@ -120,23 +114,22 @@ class GroupTable:
     def elements(self) -> range:
         return range(self.order)
 
-    @property
+    @cached_property
     def is_abelian(self) -> bool:
-        if self._abelian is None:
-            t = self.table
-            self._abelian = all(t[a][b] == t[b][a]
-                                for a in range(self.order) for b in range(a + 1, self.order))
-        return self._abelian
+        t = self.table
+        return all(t[a][b] == t[b][a] for a in range(self.order) for b in range(a + 1, self.order))
 
     # -- names ---------------------------------------------------------------------
 
     def name_of(self, a: int) -> str:
         return self.names[a]
 
+    @cached_property
+    def _name_index(self) -> dict:
+        return {s: i for i, s in enumerate(self.names)}
+
     def index_of(self, token: str) -> int:
         """Resolve an element label, falling back to a numeric index."""
-        if self._name_index is None:
-            self._name_index = {s: i for i, s in enumerate(self.names)}
         idx = self._name_index.get(token)
         if idx is not None:
             return idx
@@ -152,48 +145,48 @@ class GroupTable:
 
     def opposite(self) -> "GroupTable":
         """The opposite group: same elements, reversed multiplication."""
-        n = self.order
-        t = self.table
-        rows = tuple(tuple(t[b][a] for b in range(n)) for a in range(n))
-        return GroupTable(rows, names=self.names, label=f"{self.label}^op")
+        return GroupTable(tuple(zip(*self.table)), names=self.names, label=f"{self.label}^op")
+
+    @cached_property
+    def _commutator(self) -> frozenset:
+        t, inv = self.table, self.inverses
+        return _subgroup_closure(self, {t[t[t[a][b]][inv[a]]][inv[b]]
+                                        for a in range(self.order) for b in range(self.order)})
 
     def commutator_subgroup(self) -> frozenset:
         """Subgroup generated by all commutators a*b*inv(a)*inv(b)."""
-        if self._commutator is None:
-            t = self.table
-            gens = set()
-            for a in range(self.order):
-                ia = self.inv(a)
-                for b in range(self.order):
-                    gens.add(t[t[t[a][b]][ia]][self.inv(b)])
-            self._commutator = _subgroup_closure(self, gens)
         return self._commutator
+
+    @cached_property
+    def _abelmap(self) -> tuple:
+        return _quotient_by_normal(self, self._commutator)
 
     def abelianization_map(self):
         """Quotient by the commutator subgroup, with the projection.
 
         Returns ``(quotient, proj)`` where ``proj[g]`` is the image of ``g``.
         """
-        if self._abelmap is None:
-            comm = self.commutator_subgroup()
-            self._abelmap = _quotient_by_normal(self, comm)
         return self._abelmap
 
     def abelianization(self) -> "GroupTable":
-        return self.abelianization_map()[0]
+        return self._abelmap[0]
 
     def order_census(self) -> dict:
         """Map from element order to the number of elements of that order."""
-        census: dict[int, int] = {}
-        for a in range(self.order):
-            k = self.element_order(a)
-            census[k] = census.get(k, 0) + 1
-        return dict(sorted(census.items()))
+        return dict(sorted(Counter(self.orders).items()))
+
+    @cached_property
+    def _table_hash(self) -> str:
+        text = f"{self.order}\n" + "\n".join(" ".join(str(x) for x in row) for row in self.table)
+        return hashlib.sha256(text.encode("ascii")).hexdigest()
 
     def table_hash(self) -> str:
         """Canonical content hash of the Cayley table (labels excluded)."""
-        text = f"{self.order}\n" + "\n".join(" ".join(str(x) for x in row) for row in self.table)
-        return hashlib.sha256(text.encode("ascii")).hexdigest()
+        return self._table_hash
+
+    @cached_property
+    def _mul_masks(self) -> tuple:
+        return tuple(_ProductMemo(col) for col in zip(*self.table))
 
     def _mul_mask_tables(self):
         """Per-element memos turning a product-set bitmask M into M*h.
@@ -204,9 +197,6 @@ class GroupTable:
         order. They are a pure function of the immutable table. (The name
         is older than the memos; perfbench's tracer wraps it by name.)
         """
-        if self._mul_masks is None:
-            self._mul_masks = tuple(_ProductMemo(tuple(row[h] for row in self.table))
-                                    for h in range(self.order))
         return self._mul_masks
 
     # -- dunder --------------------------------------------------------------------
@@ -214,17 +204,19 @@ class GroupTable:
     def __eq__(self, other):
         return isinstance(other, GroupTable) and self.table == other.table
 
+    @cached_property
+    def _hash(self) -> int:
+        return hash(self.table)
+
     def __hash__(self):
-        if self._hash is None:
-            self._hash = hash(self.table)
         return self._hash
 
     def __repr__(self):
         return f"GroupTable({self.label}, order={self.order})"
 
     def __setattr__(self, name, value):
-        # Immutable public surface; private caches may be filled in lazily.
-        if name in ("order", "table", "names", "label") and hasattr(self, "label"):
+        # Immutable once built: the cached facts are stored past this guard.
+        if hasattr(self, "label"):
             raise AttributeError(f"GroupTable is immutable; cannot set {name}")
         object.__setattr__(self, name, value)
 
@@ -351,10 +343,10 @@ def _quotient_by_normal(group: GroupTable, sub: frozenset):
     Returns ``(quotient, proj)``. Coset representatives are the smallest
     element of each coset; the identity coset becomes element 0.
     """
-    t = group.table
+    t, inv = group.table, group.inverses
     for h in sub:
         for a in range(group.order):
-            if t[t[a][h]][group.inv(a)] not in sub:
+            if t[t[a][h]][inv[a]] not in sub:
                 raise GroupTableError(f"subgroup is not normal: conjugate of {h} by {a} escapes")
     coset_of = [-1] * group.order
     reps = []
@@ -449,10 +441,7 @@ def _perm_cycle_name(p) -> str:
     return "".join(parts) if parts else "1"
 
 
-def _symmetric_names(perms) -> tuple:
-    n = len(perms[0])
-    if n != 3:
-        return tuple(_perm_cycle_name(p) for p in perms)
+def _s3_names(perms) -> tuple:
     # S3 is dihedral of order 6; word names keep CLI examples short
     r = (1, 2, 0)
     s = (1, 0, 2)
@@ -466,33 +455,30 @@ def _symmetric_names(perms) -> tuple:
     return tuple(words[p] for p in perms)
 
 
+def _permutation_group(perms, names, label: str) -> GroupTable:
+    """The group of the sorted permutations ``perms``, indexed in that order;
+    each is named by its cycles unless ``names`` is given."""
+    index = {p: i for i, p in enumerate(perms)}
+    rows = tuple(tuple(index[_perm_mul(p, q)] for q in perms) for p in perms)
+    return GroupTable(rows, names=names or tuple(map(_perm_cycle_name, perms)), label=label)
+
+
 def symmetric(n: int, label: str | None = None) -> GroupTable:
     """Symmetric group on n letters, n <= 5 (order n! tables only)."""
     if not 1 <= n <= 5:
         raise GroupTableError(f"symmetric group constructor supports 1 <= n <= 5, got {n}")
     perms = sorted(itertools.permutations(range(n)))
-    index = {p: i for i, p in enumerate(perms)}
-    rows = tuple(tuple(index[_perm_mul(p, q)] for q in perms) for p in perms)
-    return GroupTable(rows, names=_symmetric_names(perms), label=label or f"S{n}")
+    return _permutation_group(perms, _s3_names(perms) if n == 3 else None, label or f"S{n}")
 
 
 def alternating(n: int, label: str | None = None) -> GroupTable:
-    """Alternating group on n letters, 3 <= n <= 5."""
+    """Alternating group on n letters, 3 <= n <= 5: the permutations with an
+    even number of inversions."""
     if not 3 <= n <= 5:
         raise GroupTableError(f"alternating group constructor supports 3 <= n <= 5, got {n}")
-
-    def parity(p):
-        inv = 0
-        for i in range(len(p)):
-            for j in range(i + 1, len(p)):
-                inv += p[i] > p[j]
-        return inv % 2
-
-    perms = sorted(p for p in itertools.permutations(range(n)) if parity(p) == 0)
-    index = {p: i for i, p in enumerate(perms)}
-    rows = tuple(tuple(index[_perm_mul(p, q)] for q in perms) for p in perms)
-    names = tuple(_perm_cycle_name(p) for p in perms)
-    return GroupTable(rows, names=names, label=label or f"A{n}")
+    perms = [p for p in sorted(itertools.permutations(range(n)))
+             if sum(a > b for a, b in itertools.combinations(p, 2)) % 2 == 0]
+    return _permutation_group(perms, None, label or f"A{n}")
 
 
 def direct_product(g1: GroupTable, g2: GroupTable, label: str | None = None) -> GroupTable:
@@ -582,7 +568,8 @@ def from_table(text: str, label: str | None = None) -> GroupTable:
     return GroupTable(relabeled, names=names, label=label or f"G{n}")
 
 
-_SPEC_FACTOR = re.compile(r"^(C|D|Dic|S|A)(\d+)$|^(Q8)$")
+_SPEC_FAMILIES = {"C": cyclic, "D": dihedral, "Dic": dicyclic, "S": symmetric, "A": alternating}
+_SPEC_FACTOR = re.compile(rf"^({'|'.join(_SPEC_FAMILIES)})(\d+)$")
 
 
 def parse_group_spec(spec: str) -> GroupTable:
@@ -593,24 +580,14 @@ def parse_group_spec(spec: str) -> GroupTable:
     factors = []
     for token in spec.split("x"):
         token = token.strip()
+        if token == "Q8":
+            factors.append(dicyclic(8, label="Q8"))
+            continue
         m = _SPEC_FACTOR.match(token)
         if not m:
             raise ParseError(f"unrecognized group spec token {token!r}")
-        if m.group(3) == "Q8":
-            factors.append(dicyclic(8, label="Q8"))
-            continue
-        family, num = m.group(1), int(m.group(2))
         try:
-            if family == "C":
-                factors.append(cyclic(num))
-            elif family == "D":
-                factors.append(dihedral(num))
-            elif family == "Dic":
-                factors.append(dicyclic(num))
-            elif family == "S":
-                factors.append(symmetric(num))
-            else:
-                factors.append(alternating(num))
+            factors.append(_SPEC_FAMILIES[m.group(1)](int(m.group(2))))
         except GroupTableError as exc:
             raise ParseError(f"invalid group spec token {token!r}: {exc}")
     out = factors[0]
@@ -671,7 +648,7 @@ class GroupMap:
     @classmethod
     def inversion(cls, group: GroupTable) -> "GroupMap":
         """g -> g^-1 (an anti-automorphism; a homomorphism iff abelian)."""
-        return cls(group, group, tuple(group.inv(g) for g in group.elements()))
+        return cls(group, group, group.inverses)
 
 
 # -- isomorphism search -----------------------------------------------------------
@@ -679,7 +656,7 @@ class GroupMap:
 
 def order_profile(group: GroupTable) -> tuple:
     """Sorted multiset of element orders; an isomorphism invariant."""
-    return tuple(sorted(group.element_order(a) for a in group.elements()))
+    return tuple(sorted(group.orders))
 
 
 def generating_sequence(group: GroupTable) -> list:
@@ -725,9 +702,9 @@ def find_group_isomorphisms(g1: GroupTable, g2: GroupTable, limit: int | None = 
                 expr[x] = (a, gi)
                 bfs.append(x)
     by_order: dict[int, list[int]] = {}
-    for y in range(n):
-        by_order.setdefault(g2.element_order(y), []).append(y)
-    candidates = [by_order.get(g1.element_order(g), []) for g in gens]
+    for y, k in enumerate(g2.orders):
+        by_order.setdefault(k, []).append(y)
+    candidates = [by_order.get(g1.orders[g], []) for g in gens]
 
     t2 = g2.table
     found = []
@@ -754,8 +731,8 @@ def abelian_invariants(group: GroupTable) -> tuple:
     out = []
     cur = group
     while cur.order > 1:
-        a = max(cur.elements(), key=lambda e: (cur.element_order(e), -e))
-        out.append(cur.element_order(a))
+        a = max(cur.elements(), key=lambda e: (cur.orders[e], -e))
+        out.append(cur.orders[a])
         sub = _subgroup_closure(cur, {a})
         cur, _ = _quotient_by_normal(cur, sub)
     return tuple(out)

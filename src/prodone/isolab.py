@@ -121,10 +121,8 @@ def _preserving_maps(g1: GroupTable, g2: GroupTable, bound: int, only=None) -> l
     """
     n = g1.order
     tab1, tab2 = g1.table, g2.table
-    ord1 = [g1.element_order(x) for x in range(n)]
-    ord2 = [g2.element_order(y) for y in range(n)]
-    inv1 = [g1.inv(x) for x in range(n)]
-    inv2 = [g2.inv(y) for y in range(n)]
+    ord1, ord2 = g1.orders, g2.orders
+    inv1, inv2 = g1.inverses, g2.inverses
     cands = []
     for x in range(n):
         row = []
@@ -293,12 +291,10 @@ def check_assertions(b: BasisBijection) -> AssertionReport:
     f = m.images
     n = g1.order
     tab1, tab2 = g1.table, g2.table
-    inv1 = [g1.inv(x) for x in range(n)]
-    inv2 = [g2.inv(y) for y in range(n)]
+    inv1, inv2 = g1.inverses, g2.inverses
 
     # the identity is the only element of order 1, so a moved identity fails at g = 0
-    a1 = next(((g,) for g in range(n) if g1.element_order(g) != g2.element_order(f[g])),
-              None)
+    a1 = next(((g,) for g in range(n) if g1.orders[g] != g2.orders[f[g]]), None)
     a2 = next(((g,) for g in range(n) if f[inv1[g]] != inv2[f[g]]), None)
 
     a3 = a4 = hom_bad = anti_bad = None

@@ -119,8 +119,7 @@ class Sequence:
 
     def product_set(self, max_states: int | None = None) -> frozenset:
         """The set pi(S) of all ordered products of S; {identity} when empty."""
-        dp, supp = _submultiset_products(self, max_states)
-        full = tuple(self.exponents[e] for e in supp)
+        dp, supp, full = _submultiset_products(self, max_states)
         return _mask_to_set(dp[full])
 
     def is_product_one(self, max_states: int | None = None) -> bool:
@@ -132,8 +131,7 @@ class Sequence:
                 for _ in range(v):
                     acc = t[acc][e]
             return acc == 0
-        dp, supp = _submultiset_products(self, max_states)
-        full = tuple(self.exponents[e] for e in supp)
+        dp, supp, full = _submultiset_products(self, max_states)
         return bool(dp[full] & 1)
 
     def product_one_witness(self, max_states: int | None = None):
@@ -147,12 +145,10 @@ class Sequence:
         if group.is_abelian:
             # every ordering has the same product, and sorted terms are lex-least
             return self.terms() if self.is_product_one() else None
-        dp, supp = _submultiset_products(self, max_states)
-        full = tuple(self.exponents[e] for e in supp)
+        dp, supp, full = _submultiset_products(self, max_states)
         if not dp[full] & 1:
             return None
-        inv = [group.inv(x) for x in range(group.order)]
-        t = group.table
+        inv, t = group.inverses, group.table
         rem = list(full)
         prod = 0
         out = []
@@ -243,8 +239,9 @@ def _mask_to_set(mask: int) -> frozenset:
 def _submultiset_products(seq: Sequence, max_states: int | None = None):
     """Achievable-products bitmask for every sub-multiset of ``seq``.
 
-    Returns ``(dp, supp)`` where ``dp`` maps an exponent tuple over ``supp``
-    to the bitmask of products realizable by ordering that sub-multiset.
+    Returns ``(dp, supp, full)`` where ``dp`` maps an exponent tuple over
+    ``supp`` to the bitmask of products realizable by ordering that
+    sub-multiset, and ``full`` is the key of the whole of ``seq``.
     The state count is the product of (multiplicity + 1) over the support;
     exceeding the budget raises a BudgetExceededError up front.
 
@@ -289,4 +286,4 @@ def _submultiset_products(seq: Sequence, max_states: int | None = None):
                         break
             dp[key] = acc
         layer = list(nxt)
-    return dp, supp
+    return dp, supp, mults

@@ -151,6 +151,23 @@ def greedy_generators_by_closure(group):
     return gens
 
 
+def inverses_by_search(group):
+    """For each a, the b with a·b = b·a = 1, found by trying every b."""
+    return tuple(next(b for b in group.elements() if group.mul(a, b) == 0 == group.mul(b, a))
+                 for a in group.elements())
+
+
+def orders_by_powers(group):
+    """For each a, the least k >= 1 with a^k = 1, multiplying by a on the left."""
+    orders = []
+    for a in group.elements():
+        k, x = 1, a
+        while x != 0:
+            k, x = k + 1, group.mul(a, x)
+        orders.append(k)
+    return tuple(orders)
+
+
 def commutator_subgroup_by_closure(group):
     """The closure of every commutator a·b·a^-1·b^-1."""
     inv = group.inv

@@ -243,6 +243,10 @@ def test_packing_limit_exits_3_and_order_16_budget_exits_2(capsys, tmp_path):
                        "--budget", "100000")
     assert code == 2
     assert "attempted 170543 states" in err
+    # C16 has atoms at every admitted length 2..12, since D(C16) = 16
+    code, out, err = run(capsys, "davenport", "C16", "--cache-dir", str(tmp_path))
+    assert (code, out) == (2, "")
+    assert "at length 13 (attempted 37442159 states)" in err
 
 
 def test_group_from_table_file(capsys, tmp_path):

@@ -176,6 +176,26 @@ def test_davenport_of_the_rank_two_catalog_additions_is_olsons(spec, m, n):
     assert large_davenport(parse_group_spec(spec)) == m + n - 1
 
 
+@pytest.mark.parametrize("spec, davenport", [
+    ("C8xC2", 8 + 2 - 1),  # Olson, rank two: n1 + n2 - 1
+    ("C4xC4", 4 + 4 - 1),
+    ("C4xC2xC2", 1 + 3 + 1 + 1),  # Olson, a 2-group: 1 + sum(ni - 1)
+    ("C2xC2xC2xC2", 1 + 4 * 1),
+])
+def test_davenport_of_the_abelian_order_16_groups_is_olsons_at_the_default_budget(spec,
+                                                                                 davenport):
+    # the budget admits lengths 1..12 of the 16, and an empty length in 2..12
+    # proves the atoms complete
+    assert factorization._budget_cap(parse_group_spec(spec), 16, None)[0] == 12
+    assert large_davenport(parse_group_spec(spec)) == davenport
+
+
+@pytest.mark.parametrize("spec", ["C2xD8", "C2xQ8"])
+def test_davenport_of_c2_times_d8_and_q8_is_pinned_at_7(spec):
+    # no cyclic subgroup of index 2, so no closed form above covers them
+    assert large_davenport(parse_group_spec(spec)) == 7
+
+
 @pytest.mark.parametrize("spec, d", [("S3", 3), ("D8", 4), ("Q8", 4), ("D10", 5),
                                      ("D12", 6), ("Dic12", 6)])
 def test_davenport_of_a_group_with_a_cyclic_index_two_subgroup_is_d_plus_commutator(spec, d):
@@ -727,6 +747,30 @@ def test_no_ball_outlives_the_call_that_built_it(monkeypatch):
     # an equal table reads the cached atoms and builds no ball
     assert large_davenport(GroupTable(d8.table)) == 6
     assert len(builds) == 4
+
+
+@pytest.mark.parametrize("spec, budget, trips", [
+    ("D8", 100, True),  # lengths 1..2 admitted
+    ("D8", 1715, True),  # lengths 1..6 admitted, and D(D8) = 6
+    ("D8", 3431, False),  # length 7 admitted, and it has no atom
+    ("C3xC3", 1286, True),  # lengths 1..5, and D(C3xC3) = 5
+    ("C3xC3", 3002, False),  # length 6 admitted and empty
+    ("C4xC4", None, False),  # lengths 1..12 at the default, and D(C4xC4) = 7
+    ("C16", None, True),  # lengths 1..12 at the default, and D(C16) = 16
+])
+def test_a_budget_trips_iff_no_admitted_length_is_empty(spec, budget, trips):
+    group = relabeled_copy(parse_group_spec(spec), random.Random(43))
+    upto = factorization._budget_cap(group, group.order, budget)[0]
+    every = _atom_keys(group, group.order, 10 ** 12)  # all the atoms
+    admitted = {key: ln for key, ln in every.items() if ln <= upto}
+    assert trips == set(admitted.values()).issuperset(range(2, upto + 1))
+    if trips:
+        attempted, partial = _trip(lambda: _atom_keys(group, group.order, budget))
+        assert attempted > (budget or DEFAULT_SEARCH_BUDGET)
+        assert not partial.exhaustive
+        assert partial.atoms_by_length == enumerate_atoms(group, upto).atoms_by_length
+    else:
+        assert _atom_keys(group, group.order, budget) == every == admitted
 
 
 def _trip(call):

@@ -21,7 +21,7 @@ from prodone.isolab import SMALL_GROUP_SPECS
 
 from brute_force import (closure_by_products, commutator_subgroup_by_closure,
                          first_associativity_failure, greedy_generators_by_closure,
-                         random_loop, relabeled_copy)
+                         inverses_by_search, orders_by_powers, random_loop, relabeled_copy)
 
 
 def assert_group_axioms(group):
@@ -569,5 +569,25 @@ def test_generator_walk_matches_the_pairwise_closure(spec):
 
 def test_frozen_attributes():
     g = cyclic(3)
-    with pytest.raises(AttributeError):
-        g.order = 5
+    for name in ("order", "table", "names", "label", "inverses", "orders", "is_abelian",
+                 "_hash", "colour"):
+        with pytest.raises(AttributeError):
+            setattr(g, name, 5)
+    assert (g.order, g.names, g.label) == (3, ("1", "g", "g2"), "C3")
+    assert not hasattr(g, "colour")
+    # the cached facts still fill, once each
+    assert g.inverses == (0, 2, 1) and g.orders == (1, 3, 3)
+    assert g.inverses is g.inverses and g.orders is g.orders
+    assert g.table_hash() is g.table_hash()
+    assert g.is_abelian and hash(g) == hash(g.table)
+    assert g.commutator_subgroup() == frozenset({0}) and g.abelianization().order == 3
+
+
+@pytest.mark.parametrize("spec", SMALL_GROUP_SPECS + ("S4", "A5"))
+def test_inverses_and_orders_match_the_oracle(spec):
+    group = parse_group_spec(spec)
+    for g in (group, relabeled_copy(group, random.Random(spec)), group.opposite()):
+        assert g.inverses == inverses_by_search(g)
+        assert g.orders == orders_by_powers(g)
+        assert [g.inv(a) for a in g.elements()] == list(g.inverses)
+        assert [g.element_order(a) for a in g.elements()] == list(g.orders)

@@ -287,6 +287,22 @@ def test_abelian_pairs_build_no_ball(spec, automorphisms, monkeypatch):
     assert verdict.consistent and verdict.bijections_found == automorphisms
 
 
+ORDER_16_MAPS = {"C8xC2": 16, "C4xC4": 96, "C4xC2xC2": 192, "C2xC2xC2xC2": 20160,
+                 "C2xD8": 128, "C2xQ8": 384}
+
+
+def test_verify_theorem_on_the_order_16_groups_that_fit_the_default_budget():
+    # every pair but the C2^4 self-pair (20,160 maps, left to the CI script)
+    groups = {spec: parse_group_spec(spec) for spec in ORDER_16_MAPS}
+    pairs = [(s1, s2) for s1, s2 in itertools.combinations_with_replacement(groups, 2)
+             if s1 != "C2xC2xC2xC2" or s2 != s1]
+    assert len(pairs) == 20
+    for s1, s2 in pairs:
+        verdict = verify_theorem(groups[s1], groups[s2])
+        assert verdict.consistent and verdict.all_classified
+        assert verdict.bijections_found == (ORDER_16_MAPS[s1] if s1 == s2 else 0)
+
+
 def test_verify_theorem_labels_a_davenport_trip_and_keeps_its_catalog():
     # a relabeled copy misses the per-group atom cache
     d12 = relabeled_copy(dihedral(12), random.Random(12))

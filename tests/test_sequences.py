@@ -268,7 +268,8 @@ def test_product_set_dp_masks_are_the_full_unions(spec):
     # the coset stop drops predecessor reads, never a bit of any mask
     group = parse_group_spec(spec)
     for seq in _seeded_sequences(group, 29, 12, 8):
-        dp, supp = _submultiset_products(seq)
+        dp, supp, full = _submultiset_products(seq)
+        assert full == tuple(seq.exponents[e] for e in supp)
         reference = submultiset_products_by_union(seq)
         assert dp.keys() == reference.keys()
         assert all(_mask_elements(dp[key]) == reference[key] for key in dp)
@@ -294,7 +295,7 @@ def test_coset_stop_reads_fewer_memo_entries(monkeypatch):
                         lambda self: tuple(Counted(m) for m in tables(self)))
     group = dicyclic(12)  # |G'| = 3
     seq = Sequence.from_elements(group, range(1, 10))  # the pattern (1^9)
-    dp, supp = _submultiset_products(seq)
+    dp, supp, _ = _submultiset_products(seq)
     assert len(seq.product_set()) == 3 and len(dp) == 2 ** 9
     # the full union reads one memo entry per support element of each state
     unions = sum(1 for key in dp for v in key if v)
