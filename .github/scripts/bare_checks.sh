@@ -4,9 +4,8 @@
 # two CLI runs in fresh processes, a cold and a warm `atoms S4 --max 6` on
 # one cache directory, the golden CLI runs of
 # tests/golden_cli.json replayed byte for byte in fresh processes, the
-# C2xC2xC2xC2 self-pair oracle, the theorem on every pair of the 23-group
-# catalog, and the theorem on every pair of the six order-16 groups whose
-# atoms fit the default budget.
+# C2xC2xC2xC2 self-pair oracle and its theorem check at the default budget,
+# and the theorem on every pair of the 23-group catalog.
 #
 # Run from the repository root: bash .github/scripts/bare_checks.sh
 # Each check prints its name before it runs. Every check runs; the script
@@ -84,15 +83,17 @@ c2_4_self_pair() {
 import sys
 from brute_force import automorphisms_and_twists
 from prodone.groups import parse_group_spec
-from prodone.isolab import check_assertions, search_bijections
+from prodone.isolab import check_assertions, search_bijections, verify_theorem
 group = parse_group_spec("C2xC2xC2xC2")
 bijections = search_bijections(group, group, 4)
 found = {b.map.images for b in bijections}
 expected = automorphisms_and_twists(group)
 reports = [check_assertions(b) for b in bijections]
 passed = sum(r.all_passed and r.is_isomorphism and r.is_anti_isomorphism for r in reports)
-print(len(found), len(expected), passed)
-sys.exit(0 if found == expected and passed == len(reports) else 1)'
+verdict = verify_theorem(group, group)  # its atoms are complete below the default cap
+print(len(found), len(expected), passed, verdict.consistent, verdict.bijections_found)
+sys.exit(0 if found == expected and passed == len(reports)
+         and verdict.consistent and verdict.bijections_found == 20160 else 1)'
 }
 
 catalog_theorem() {
@@ -113,26 +114,6 @@ self_pairs = {(i, i) for i in range(len(groups))}
 sys.exit(0 if len(pairs) == 276 and inconsistent == 0 and with_maps == self_pairs else 1)'
 }
 
-order_16_theorem() {
-  PYTHONPATH=src timeout 300 python3 -c '
-import itertools, resource, sys, time
-from prodone.groups import parse_group_spec
-from prodone.isolab import verify_theorem
-started = time.monotonic()
-specs = ("C8xC2", "C4xC4", "C4xC2xC2", "C2xC2xC2xC2", "C2xD8", "C2xQ8")
-groups = [parse_group_spec(spec) for spec in specs]
-pairs = list(itertools.combinations_with_replacement(range(len(groups)), 2))
-verdicts = [verify_theorem(groups[i], groups[j]) for i, j in pairs]
-inconsistent = sum(not v.consistent for v in verdicts)
-with_maps = {pair for pair, v in zip(pairs, verdicts) if v.bijections_found}
-print(f"{len(pairs)} pairs, {inconsistent} inconsistent, maps found on {len(with_maps)}: "
-      f"{[v.bijections_found for v in verdicts if v.bijections_found]}, "
-      f"{time.monotonic() - started:.1f} s, "
-      f"ru_maxrss {resource.getrusage(resource.RUSAGE_SELF).ru_maxrss // 1024} MiB")
-self_pairs = {(i, i) for i in range(len(groups))}
-sys.exit(0 if len(pairs) == 21 and inconsistent == 0 and with_maps == self_pairs else 1)'
-}
-
 check "Benchmark oracle self-test" oracle_self_test
 check "Short benchmark run, checked against its oracles" short_run catalog_sweep
 check "Short sequence-query run, checked against its oracles" short_run sequence_queries
@@ -140,9 +121,8 @@ check "compare D10 D10 answers at its default bound in a fresh process" compare_
 check "verify D12 D12 finds its 24 maps in a fresh process" verify_d12
 check "atoms S4 --max 6 reports 137084 atoms cold and warm on one cache, and the warm run leaves the catalog file as it was" atoms_s4_cold_warm
 check "Every golden CLI run gives the same exit code, stdout and stderr in a fresh process" golden_cli
-check "C2xC2xC2xC2 self-pair search finds its automorphisms and their twists, and every map passes the assertions" c2_4_self_pair
+check "C2xC2xC2xC2 self-pair search finds its automorphisms and their twists, every map passes the assertions, and verify_theorem at the default budget is consistent with 20160 maps" c2_4_self_pair
 check "verify_theorem is consistent on all 276 catalog pairs, and only the 23 self-pairs find maps" catalog_theorem
-check "verify_theorem at the default budget is consistent on all 21 pairs of six order-16 groups, and only the 6 self-pairs find maps" order_16_theorem
 
 if ((${#failed[@]})); then
   printf 'failed check: %s\n' "${failed[@]}"

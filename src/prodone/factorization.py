@@ -612,12 +612,19 @@ def length_system(group: GroupTable, bound: int, budget: int | None = None) -> L
     - The packed addition R + a is exact, because no slot passes 31 within
       the cap, which ``_budget_cap`` keeps at most 31.
 
-    A budget trip comes from ``_atom_keys`` and carries its partial catalog.
+    The DP reaches the whole ball to ``bound``, so the budget caps that
+    ball: a request it does not admit trips even when the atoms are
+    complete, carrying the partial catalog of the atoms to the admitted cap.
     """
     if bound < 1:
         raise ValueError(f"bound must be >= 1, got {bound}")
+    upto, trip = _budget_cap(group, bound, budget)
+    keys = _atom_keys(group, upto, budget)
+    if trip is not None:
+        trip.partial = _catalog_from_keys(group, keys, bound, exhaustive=False)
+        raise trip
     atoms: list = [[] for _ in range(bound + 1)]
-    for key, ln in _atom_keys(group, bound, budget).items():
+    for key, ln in keys.items():
         atoms[ln].append(key)
     levels: list = [{0: 1}] + [{} for _ in range(bound)]
     for ln in range(bound):

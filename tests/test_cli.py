@@ -184,6 +184,15 @@ def test_compare_c4_k4(capsys, tmp_path):
     assert by_name["davenport"]["value2"] == 3
 
 
+def test_compare_reports_a_length_system_past_the_budget_as_inconclusive(capsys, tmp_path):
+    code, payload, _ = run_json(capsys, "compare", "C4xC4", "C2xC8", "--bound", "16",
+                                "--cache-dir", str(tmp_path))
+    assert code == 0
+    by_name = {c["invariant"]: c for c in payload["comparisons"]}
+    assert (by_name["davenport"]["value1"], by_name["davenport"]["value2"]) == (7, 9)
+    assert by_name["length_system"]["status"] == "inconclusive"
+
+
 def test_usage_errors_exit_3(capsys):
     assert run(capsys, "no-such-command")[0] == 3
     assert run(capsys, "group-info", "Zoo")[0] == 3

@@ -773,13 +773,25 @@ def test_a_budget_trips_iff_no_admitted_length_is_empty(spec, budget, trips):
         assert _atom_keys(group, group.order, budget) == every == admitted
 
 
+@pytest.mark.parametrize("spec, bound", [("C4xC4", 16), ("C2xC2xC2xC2", 20)])
+def test_length_system_trips_past_the_budget_even_with_every_atom_found(spec, bound):
+    # the DP walks the whole ball to the bound, so the budget caps it
+    group = parse_group_spec(spec)
+    upto = factorization._budget_cap(group, bound, None)[0]
+    assert upto == 12 and max(_atom_keys(group, group.order, None).values()) < upto
+    attempted, partial = _trip(lambda: length_system(group, bound))
+    assert attempted == 37442159  # the arithmetic of order 16 at the default budget
+    assert not partial.exhaustive and partial.max_length == bound
+    assert partial.atoms_by_length == enumerate_atoms(group, group.order).atoms_by_length
+
+
 def _trip(call):
     with pytest.raises(BudgetExceededError) as err:
         call()
     return err.value.attempted, err.value.partial
 
 
-@pytest.mark.parametrize("compute", [product_one_vectors, enumerate_atoms])
+@pytest.mark.parametrize("compute", [product_one_vectors, enumerate_atoms, length_system])
 def test_budget_trips_alike_whatever_the_cache_holds(compute):
     # D8 reads its atoms off the ball, C4xC2 finds them by the zero-sum-free walk
     for spec in ("D8", "C4xC2"):
